@@ -1,0 +1,5 @@
+"""Host wall-clock benchmark of the repro serving stack and suite sweep.
+
+Run ``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s>
+--trace <0|1>`` from the repository root; see ``perfbench/README.md``.
+"""
