@@ -5,14 +5,15 @@ design argues for: in-bounds index arithmetic, perfectly coalesced
 slab traffic, divergence-free control flow, race-free local-memory
 staging, and batched-execution safety.  Where the property is
 quantitative the analyzer computes the *exact* counters the dynamic
-:class:`~repro.ocl.trace.KernelTrace` would record (on an L2-disabled
-device), so static and dynamic views can be diffed bit-for-bit.
+:class:`~repro.ocl.trace.KernelTrace` would record, so static and
+dynamic views can be diffed bit-for-bit.
 
 Entry points: :func:`analyze_plan` / :func:`analyze_matrix` run every
 checker and return an :class:`AnalysisReport`; :func:`build_model` and
-:func:`predict_trace` expose the symbolic model and the trace
-predictor; :func:`required_local_bytes` is the standalone capacity
-probe the autotuner uses.
+:func:`predict_trace` expose the symbolic model and the closed-form
+(L2-off) trace predictor; :func:`synthesize_trace` adds the L2 split
+with the batched engine's own replay; :func:`required_local_bytes` is
+the standalone capacity probe the autotuner uses.
 """
 
 from repro.analyze.batch_safety import check_batch_safety
@@ -38,7 +39,6 @@ from repro.analyze.symmetric import (
     analyze_sym_matrix,
     analyze_sym_plan,
     build_sym_model,
-    predict_trace_l2,
 )
 from repro.analyze.sharding import (
     ShardCertificate,
@@ -46,6 +46,7 @@ from repro.analyze.sharding import (
     certify_shard_plan,
     shard_segment_range,
 )
+from repro.analyze.trace import synthesize_trace
 
 __all__ = [
     "AnalysisReport",
@@ -71,7 +72,7 @@ __all__ = [
     "check_divergence",
     "check_localmem",
     "predict_trace",
-    "predict_trace_l2",
     "required_local_bytes",
     "shard_segment_range",
+    "synthesize_trace",
 ]

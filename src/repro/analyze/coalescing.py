@@ -27,7 +27,7 @@ import numpy as np
 from repro.analyze.model import GlobalAccess, IndirectAccess, KernelModel
 from repro.analyze.report import AnalysisReport
 from repro.ocl.device import DeviceSpec, TESLA_C2050
-from repro.ocl.memory import wavefront_segments
+from repro.ocl.memory import segment_streams
 from repro.ocl.trace import KernelTrace
 
 
@@ -39,12 +39,13 @@ def predict_trace(model: KernelModel,
     built without the scatter index data (the indirect accesses are
     then unpredictable).
     """
+    scatter = predict_scatter_trace(model, device)
+    if scatter is None:
+        return None
     tr = KernelTrace()
     plan = model.plan
-    w = device.wavefront_size
-    nwf_per_group = -(-model.lanes // w)
     tr.work_groups = plan.num_groups
-    tr.wavefronts = plan.num_groups * nwf_per_group
+    tr.wavefronts = plan.num_groups * -(-model.lanes // device.wavefront_size)
     for rm in model.regions:
         nrs = rm.region.nrs
         for acc in rm.accesses:
@@ -56,17 +57,27 @@ def predict_trace(model: KernelModel,
                 tr.local_load_bytes += op.lane_bound * model.itemsize * nrs
         tr.barriers += rm.barriers_per_group * nrs
         tr.flops += rm.flops_per_group * nrs
-    if model.scatter is not None:
-        sm = model.scatter
-        tr.work_groups += sm.num_groups
-        tr.wavefronts += sm.num_groups * nwf_per_group
-        for acc in sm.accesses:
-            _count_affine(tr, acc, model, device)
-        for ind in sm.indirect:
-            if ind.index_grid is None:
-                return None
-            _count_indirect(tr, ind, model, device)
-        tr.flops += sm.flops_total
+    return tr.merge(scatter)
+
+
+def predict_scatter_trace(model: KernelModel,
+                          device: DeviceSpec = TESLA_C2050
+                          ) -> Optional[KernelTrace]:
+    """The scatter launch's share of :func:`predict_trace` (all zeros
+    without a scatter kernel; ``None`` without its index data)."""
+    tr = KernelTrace()
+    sm = model.scatter
+    if sm is None:
+        return tr
+    tr.work_groups = sm.num_groups
+    tr.wavefronts = sm.num_groups * -(-model.lanes // device.wavefront_size)
+    for acc in sm.accesses:
+        _count_affine(tr, acc, model, device)
+    for ind in sm.indirect:
+        if ind.index_grid is None:
+            return None
+        _count_indirect(tr, ind, model, device)
+    tr.flops = sm.flops_total
     return tr
 
 
@@ -172,45 +183,26 @@ def _affine_traffic_slow(acc: GlobalAccess, model: KernelModel,
                          device: DeviceSpec):
     """Fallback for non-unit lane strides (only reachable from
     deliberately corrupted models): enumerate lanes explicitly."""
-    b = _itemsize_of(acc, model)
-    lanes = np.arange(acc.lanes, dtype=np.int64)
-    req = txn = useful = 0
-    for seg in range(acc.nsegs):
-        idx = acc.base + acc.seg_coeff * seg + acc.lane_coeff * lanes
-        active = np.ones(acc.lanes, dtype=bool)
-        if acc.lane_bound is not None:
-            active &= lanes < acc.lane_bound
-        if acc.guard_lo is not None:
-            active &= idx >= acc.guard_lo
-        if acc.guard_hi is not None:
-            active &= idx < acc.guard_hi
-        r, segments, u = wavefront_segments(
-            idx, b, device.wavefront_size, device.transaction_bytes, active)
-        req += r
-        txn += int(segments.size)
-        useful += u
-    return req, txn, useful
+    idx, active = acc.grid()
+    req, segments, _, useful = segment_streams(
+        idx, _itemsize_of(acc, model), device.wavefront_size,
+        device.transaction_bytes, active)
+    return req, int(segments.size), useful
 
 
 def _count_indirect(tr: KernelTrace, ind: IndirectAccess,
                     model: KernelModel, device: DeviceSpec) -> None:
-    b = model.itemsize  # x and y hold reals
-    req = txn = useful = 0
-    for g in range(ind.index_grid.shape[0]):
-        r, segments, u = wavefront_segments(
-            ind.index_grid[g], b, device.wavefront_size,
-            device.transaction_bytes,
-            None if ind.active is None else ind.active[g])
-        req += r
-        txn += int(segments.size)
-        useful += u
+    req, segments, _, useful = segment_streams(
+        np.asarray(ind.index_grid, dtype=np.int64),
+        model.itemsize,  # x and y hold reals
+        device.wavefront_size, device.transaction_bytes, ind.active)
     if ind.kind == "load":
         tr.global_load_requests += req
-        tr.global_load_transactions += txn
+        tr.global_load_transactions += int(segments.size)
         tr.global_load_bytes_useful += useful
     else:
         tr.global_store_requests += req
-        tr.global_store_transactions += txn
+        tr.global_store_transactions += int(segments.size)
         tr.global_store_bytes_useful += useful
 
 

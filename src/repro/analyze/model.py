@@ -81,6 +81,22 @@ class GlobalAccess:
     def guarded(self) -> bool:
         return self.guard_lo is not None or self.guard_hi is not None
 
+    def grid(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(idx, active)`` over the ``(nsegs, lanes)`` iteration
+        space: the element index of every lane and whether it is
+        active (lane bound and guards applied)."""
+        segs = np.arange(self.nsegs, dtype=np.int64).reshape(-1, 1)
+        lanes = np.arange(self.lanes, dtype=np.int64)
+        idx = self.base + self.seg_coeff * segs + self.lane_coeff * lanes
+        active = np.ones(idx.shape, dtype=bool)
+        if self.lane_bound is not None:
+            active &= lanes < self.lane_bound
+        if self.guard_lo is not None:
+            active &= idx >= self.guard_lo
+        if self.guard_hi is not None:
+            active &= idx < self.guard_hi
+        return idx, active
+
 
 @dataclass(frozen=True)
 class IndirectAccess:

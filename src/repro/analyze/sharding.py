@@ -51,9 +51,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.analyze.coalescing import _count_affine, _count_indirect, predict_trace
+from repro.analyze.coalescing import predict_scatter_trace, predict_trace
 from repro.analyze.model import KernelModel, build_model
 from repro.analyze.report import Finding
+from repro.analyze.trace import synthesize_trace
 from repro.codegen.plan import (
     GroupPlan,
     KernelPlan,
@@ -374,16 +375,7 @@ def _write_mask(model: KernelModel) -> np.ndarray:
                 continue
             if acc.nsegs <= 0 or acc.lanes <= 0:
                 continue
-            segs = np.arange(acc.nsegs, dtype=np.int64)[:, None]
-            lanes = np.arange(acc.lanes, dtype=np.int64)[None, :]
-            idx = acc.base + acc.seg_coeff * segs + acc.lane_coeff * lanes
-            active = np.ones(idx.shape, dtype=bool)
-            if acc.lane_bound is not None:
-                active &= lanes < acc.lane_bound
-            if acc.guard_lo is not None:
-                active &= idx >= acc.guard_lo
-            if acc.guard_hi is not None:
-                active &= idx < acc.guard_hi
+            idx, active = acc.grid()
             mask[idx[active]] = True
     if model.scatter is not None:
         for ind in model.scatter.indirect:
@@ -493,26 +485,6 @@ def _dia_shard_of(plan: KernelPlan, shard_plan, row: int) -> Optional[int]:
 # ----------------------------------------------------------------------
 # prover 3: trace conservation
 # ----------------------------------------------------------------------
-def _scatter_only_trace(model: KernelModel,
-                        device: DeviceSpec) -> Optional[KernelTrace]:
-    """The scatter launch's share of the closed-form prediction."""
-    tr = KernelTrace()
-    sm = model.scatter
-    if sm is None or sm.num_rows == 0:
-        return tr
-    nwf = -(-model.lanes // device.wavefront_size)
-    tr.work_groups = sm.num_groups
-    tr.wavefronts = sm.num_groups * nwf
-    for acc in sm.accesses:
-        _count_affine(tr, acc, model, device)
-    for ind in sm.indirect:
-        if ind.index_grid is None:
-            return None
-        _count_indirect(tr, ind, model, device)
-    tr.flops = sm.flops_total
-    return tr
-
-
 def _trace_sub(a: KernelTrace, b: KernelTrace) -> Dict[str, int]:
     return {name: getattr(a, name) - getattr(b, name)
             for name in _TRACE_FIELDS}
@@ -520,10 +492,8 @@ def _trace_sub(a: KernelTrace, b: KernelTrace) -> Dict[str, int]:
 
 def _check_trace(whole_model: KernelModel, submodels: Sequence[KernelModel],
                  device: DeviceSpec, cert: ShardCertificate) -> None:
-    from repro.gpu_kernels.fused import synthesize_trace
-
     whole_base = predict_trace(whole_model, device)
-    whole_scatter = _scatter_only_trace(whole_model, device)
+    whole_scatter = predict_scatter_trace(whole_model, device)
     if whole_base is None or whole_scatter is None:
         cert.findings.append(Finding(
             "shard-trace", "error", "whole matrix",
@@ -534,7 +504,7 @@ def _check_trace(whole_model: KernelModel, submodels: Sequence[KernelModel],
     shard_scatters: List[KernelTrace] = []
     for i, model in enumerate(submodels):
         base = predict_trace(model, device)
-        scat = _scatter_only_trace(model, device)
+        scat = predict_scatter_trace(model, device)
         if base is None or scat is None:
             cert.findings.append(Finding(
                 "shard-trace", "error", f"shard {i}",

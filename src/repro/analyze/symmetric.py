@@ -11,31 +11,20 @@ adds the sym-specific render cross-check and the half-slab analogue of
 the paper's perfect-coalescing claim: the *unguarded* (forward) run
 loads must coalesce perfectly whenever ``mrows`` is wavefront-aligned.
 
-:func:`predict_trace_l2` extends the closed-form prediction to devices
-*with* the L2 model enabled: it replays the per-group, program-ordered
-segment streams — exactly what the per-group engine feeds the
-:class:`~repro.ocl.memory.SegmentCache`, and what the batched engine's
-deferred ``finalize`` reproduces — through a fresh cache and recomputes
-``global_load_transactions``/``l2_hits``.  It works for full CRSD
-models too, which closes the ROADMAP gap of the L2-off-only predictor:
-the obs-layer DRAM-bytes metric for a symmetric matrix can be checked
-against a static prediction on the real device model.
+A symmetric model is an ordinary :class:`KernelModel`, so the exact
+L2-on prediction is the shared one,
+:func:`repro.analyze.trace.synthesize_trace`: the obs-layer DRAM-bytes
+metric for a symmetric matrix can be checked against a static
+prediction on the real device model.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
-
-import numpy as np
+from typing import Optional
 
 from repro.analyze.batch_safety import check_batch_safety
 from repro.analyze.bounds import check_bounds
-from repro.analyze.coalescing import (
-    _count_affine,
-    _itemsize_of,
-    check_coalescing,
-    predict_trace,
-)
+from repro.analyze.coalescing import _count_affine, check_coalescing
 from repro.analyze.divergence import check_divergence
 from repro.analyze.localmem import check_localmem
 from repro.analyze.model import GlobalAccess, KernelModel, RegionModel
@@ -55,7 +44,6 @@ from repro.codegen.validator import (
     validate_python_source,
 )
 from repro.ocl.device import DeviceSpec, TESLA_C2050
-from repro.ocl.memory import SegmentCache, wavefront_segments
 from repro.ocl.trace import KernelTrace
 
 _REAL_ITEMSIZE = {"double": 8, "fp64": 8, "single": 4, "fp32": 4}
@@ -161,125 +149,6 @@ def analyze_sym_matrix(
     plan = build_sym_plan(sym)
     return analyze_sym_plan(plan, device=device, precision=precision,
                             check_render=check_render)
-
-
-# ----------------------------------------------------------------------
-# L2-aware exact trace prediction
-# ----------------------------------------------------------------------
-
-def predict_trace_l2(model: KernelModel,
-                     device: DeviceSpec = TESLA_C2050
-                     ) -> Optional[KernelTrace]:
-    """Exact :class:`KernelTrace` prediction with the L2 model *on*.
-
-    Starts from the L2-off closed form and recomputes
-    ``global_load_transactions``/``l2_hits`` by replaying the per-group
-    segment streams — (region, seg) in launch order, accesses in
-    program order, wavefronts ascending — through a fresh LRU
-    :class:`~repro.ocl.memory.SegmentCache`.  Stores are replayed as
-    write-allocates (lines become resident, DRAM write-back stays
-    charged), matching both execution engines.  Returns ``None`` when
-    scatter index data is missing (same contract as
-    :func:`~repro.analyze.coalescing.predict_trace`).
-    """
-    tr = predict_trace(model, device)
-    if tr is None or device.l2_bytes <= 0:
-        return tr
-    cache = SegmentCache(device.l2_bytes, device.transaction_bytes)
-    load_txn = 0
-    hits = 0
-
-    def touch(buffer: str, kind: str, segments: np.ndarray) -> None:
-        nonlocal load_txn, hits
-        if not segments.size:
-            return
-        misses = cache.access(buffer, segments)
-        if kind == "load":
-            load_txn += misses
-            hits += int(segments.size) - misses
-
-    for rm in model.regions:
-        for seg in range(rm.region.nrs):
-            for acc in rm.accesses:
-                touch(acc.buffer, acc.kind,
-                      _affine_segments(acc, seg, model, device))
-    if model.scatter is not None:
-        for g, item in _scatter_program(model):
-            if isinstance(item, GlobalAccess):
-                touch(item.buffer, item.kind,
-                      _affine_segments(item, g, model, device))
-            else:
-                active = None if item.active is None else item.active[g]
-                _, segments, _ = wavefront_segments(
-                    item.index_grid[g], model.itemsize,
-                    device.wavefront_size, device.transaction_bytes, active)
-                touch(item.buffer, item.kind, segments)
-    tr.global_load_transactions = load_txn
-    tr.l2_hits = hits
-    return tr
-
-
-def _affine_segments(acc: GlobalAccess, seg: int, model: KernelModel,
-                     device: DeviceSpec) -> np.ndarray:
-    """The transaction-segment stream one group's execution of ``acc``
-    feeds the L2 — per wavefront the sorted unique segments of the
-    active lanes, concatenated in wavefront order."""
-    b = _itemsize_of(acc, model)
-    T = device.transaction_bytes
-    w = device.wavefront_size
-    base_s = acc.base + acc.seg_coeff * seg
-    if acc.lane_coeff != 1:
-        lanes = np.arange(acc.lanes, dtype=np.int64)
-        idx = base_s + acc.lane_coeff * lanes
-        active = np.ones(acc.lanes, dtype=bool)
-        if acc.lane_bound is not None:
-            active &= lanes < acc.lane_bound
-        if acc.guard_lo is not None:
-            active &= idx >= acc.guard_lo
-        if acc.guard_hi is not None:
-            active &= idx < acc.guard_hi
-        _, segments, _ = wavefront_segments(idx, b, w, T, active)
-        return segments
-    alo = 0
-    ahi = acc.lanes
-    if acc.lane_bound is not None:
-        ahi = min(ahi, acc.lane_bound)
-    if acc.guard_lo is not None:
-        alo = max(alo, acc.guard_lo - base_s)
-    if acc.guard_hi is not None:
-        ahi = min(ahi, acc.guard_hi - base_s)
-    out: List[np.ndarray] = []
-    nwf = -(-acc.lanes // w)
-    for wf in range(nwf):
-        lo = max(alo, wf * w)
-        hi = min(ahi, min((wf + 1) * w, acc.lanes))
-        if hi <= lo:
-            continue
-        first = (base_s + lo) * b // T
-        last = (base_s + hi - 1) * b // T
-        out.append(np.arange(first, last + 1, dtype=np.int64))
-    if not out:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(out)
-
-
-def _scatter_program(model: KernelModel):
-    """Yield ``(group, access-or-indirect)`` in the scatter kernel's
-    per-group program order: per ELL entry the colval load, the val
-    load and the ``nvec`` x gathers; then the rowno load and the
-    ``nvec`` y stores."""
-    sm = model.scatter
-    nvec = model.plan.nvec
-    program: List = []
-    for k in range(sm.width):
-        program.append(sm.accesses[2 * k])      # scatter_colval[k]
-        program.append(sm.accesses[2 * k + 1])  # scatter_val[k]
-        program.extend(sm.indirect[k * nvec:(k + 1) * nvec])
-    program.append(sm.accesses[-1])             # scatter_rowno
-    program.extend(sm.indirect[sm.width * nvec:])
-    for g in range(sm.num_groups):
-        for item in program:
-            yield g, item
 
 
 # ----------------------------------------------------------------------

@@ -21,17 +21,17 @@ When certification fails the caller silently falls back to the
 ``batched`` engine; nothing here weakens correctness, it only removes
 simulation overhead from launches the prover already understands.
 
-The :class:`KernelTrace` is not measured but *synthesized*: the
-closed-form :func:`~repro.analyze.predict_trace` (asserted bit-equal
-to the dynamic trace on an L2-disabled device by
-``tests/analyze/test_static_trace.py``) provides every counter except
-L2 residency, and :func:`_l2_adjusted` replays the launch's exact
-segment streams — same program order, same group-major replay the
-batched engine's :meth:`BatchCtx.finalize` uses — through one
-:class:`~repro.ocl.memory.SegmentCache` to split load transactions
-into DRAM misses and ``l2_hits``.  The synthesized trace is computed
-once per runner and copied per run, so obs metrics, roofline
-derivation and serve's ``predict_gpu_time`` accounting are unchanged.
+The :class:`KernelTrace` is not measured but *synthesized* by
+:func:`repro.analyze.trace.synthesize_trace`: the closed-form
+:func:`~repro.analyze.predict_trace` (asserted bit-equal to the dynamic
+trace on an L2-disabled device by ``tests/analyze/test_static_trace.py``)
+provides every counter except L2 residency, and the launch's segment
+streams are replayed through the same group-major L2 replay the
+batched engine's :meth:`BatchCtx.finalize` uses to split load
+transactions into DRAM misses and ``l2_hits``.  The synthesized trace
+is computed once per runner and copied per run, so obs metrics,
+roofline derivation and serve's ``predict_gpu_time`` accounting are
+unchanged.
 
 :class:`FusedKernel` is deliberately **value-free**: it bakes only the
 plan and the scatter *index* arrays (pattern data) and takes the value
@@ -51,16 +51,11 @@ from repro.analyze.batch_safety import check_batch_safety
 from repro.analyze.bounds import check_bounds
 from repro.analyze.coalescing import predict_trace
 from repro.analyze.localmem import check_localmem
-from repro.analyze.model import (
-    GlobalAccess,
-    IndirectAccess,
-    KernelModel,
-    build_model,
-)
+from repro.analyze.model import KernelModel, build_model
 from repro.analyze.report import AnalysisReport
+from repro.analyze.trace import synthesize_trace
 from repro.codegen.plan import KernelPlan
 from repro.ocl.device import DeviceSpec
-from repro.ocl.memory import SegmentCache
 from repro.ocl.trace import KernelTrace
 
 __all__ = ["FusedCertificate", "FusedKernel", "FusedState",
@@ -237,140 +232,6 @@ class FusedKernel:
                 # rows pairwise distinct (certified): plain overwrite,
                 # after the dia phase, like the second launch
                 y[j * nrows + self._srow] = accs[j]
-
-
-# ----------------------------------------------------------------------
-# trace synthesis
-# ----------------------------------------------------------------------
-def _segment_streams(idx: np.ndarray, active: np.ndarray, itemsize: int,
-                     device: DeviceSpec) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-group transaction segment ids of one vectorised access.
-
-    ``idx``/``active`` are ``(num_groups, lanes)``; returns the
-    concatenated per-group segment streams plus group offsets, each
-    group's stream identical to what
-    :func:`~repro.ocl.memory.wavefront_segments` returns for its row —
-    the same pad-sort-dedup construction, vectorised over groups.
-    """
-    ngroups, lanes = idx.shape
-    w = device.wavefront_size
-    nwf = -(-lanes // w)
-    pad = nwf * w - lanes
-    seg = idx * itemsize // device.transaction_bytes
-    if pad:
-        seg = np.concatenate(
-            [seg, np.full((ngroups, pad), -1, dtype=np.int64)], axis=1)
-        active = np.concatenate(
-            [active, np.zeros((ngroups, pad), dtype=bool)], axis=1)
-    seg = np.where(active, seg, np.int64(-1)).reshape(ngroups, nwf, w)
-    seg_sorted = np.sort(seg, axis=2)
-    newseg = np.ones(seg_sorted.shape, dtype=bool)
-    newseg[:, :, 1:] = seg_sorted[:, :, 1:] != seg_sorted[:, :, :-1]
-    newseg &= seg_sorted >= 0
-    segments = seg_sorted[newseg]  # C order = (group, wavefront) order
-    counts = newseg.sum(axis=(1, 2))
-    offsets = np.zeros(ngroups + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    return segments, offsets
-
-
-def _affine_streams(acc: GlobalAccess, model: KernelModel,
-                    device: DeviceSpec) -> Tuple[np.ndarray, np.ndarray]:
-    """Segment streams of an affine access over its ``(seg, lane)``
-    iteration space, guards and lane bound applied."""
-    segs = np.arange(acc.nsegs, dtype=np.int64).reshape(-1, 1)
-    lanes = np.arange(acc.lanes, dtype=np.int64)
-    idx = acc.base + acc.seg_coeff * segs + acc.lane_coeff * lanes
-    active = np.ones(idx.shape, dtype=bool)
-    if acc.lane_bound is not None:
-        active &= lanes < acc.lane_bound
-    if acc.guard_lo is not None:
-        active &= idx >= acc.guard_lo
-    if acc.guard_hi is not None:
-        active &= idx < acc.guard_hi
-    itemsize = (model.index_itemsize
-                if acc.buffer in ("scatter_colval", "scatter_rowno")
-                else model.itemsize)
-    return _segment_streams(idx, active, itemsize, device)
-
-
-def _scatter_program_order(model: KernelModel):
-    """The scatter kernel's accesses in emitted statement order:
-    per ELL column the colval load, the val load and the ``nvec`` x
-    gathers; then the rowno load; then the ``nvec`` y stores."""
-    sm = model.scatter
-    nvec = model.plan.nvec
-    ordered: List[object] = []
-    for k in range(sm.width):
-        ordered.append(sm.accesses[2 * k])        # scatter_colval
-        ordered.append(sm.accesses[2 * k + 1])    # scatter_val
-        ordered.extend(sm.indirect[k * nvec:(k + 1) * nvec])
-    ordered.append(sm.accesses[-1])               # scatter_rowno
-    ordered.extend(sm.indirect[sm.width * nvec:])  # y stores
-    return ordered
-
-
-def _l2_adjusted(model: KernelModel, device: DeviceSpec,
-                 base: KernelTrace) -> KernelTrace:
-    """The closed-form trace with the L2 model applied.
-
-    Replays the launch's segment streams through one
-    :class:`SegmentCache` in the exact order the batched engine's
-    deferred replay uses — region by region, group-major within each,
-    accesses in program order, then the scatter launch sharing the same
-    cache — and moves the absorbed load transactions into ``l2_hits``.
-    """
-    tr = dataclasses.replace(base)
-    if device.l2_bytes <= 0:
-        return tr
-    cache = SegmentCache(device.l2_bytes, device.transaction_bytes)
-    hits = 0
-
-    def replay(entries, num_groups):
-        nonlocal hits
-        streams = []
-        for acc in entries:
-            if isinstance(acc, IndirectAccess):
-                active = (acc.active if acc.active is not None
-                          else np.ones(acc.index_grid.shape, dtype=bool))
-                segs, offs = _segment_streams(
-                    np.asarray(acc.index_grid, dtype=np.int64), active,
-                    model.itemsize, device)
-            else:
-                segs, offs = _affine_streams(acc, model, device)
-            streams.append((acc.kind == "load", acc.buffer, segs, offs))
-        for g in range(num_groups):
-            for is_load, buf, segs, offs in streams:
-                s = segs[offs[g]:offs[g + 1]]
-                if s.size == 0:
-                    continue
-                misses = cache.access(buf, s)
-                if is_load:
-                    hits += int(s.size) - misses
-
-    for rm in model.regions:
-        replay(rm.accesses, rm.region.nrs)
-    if model.scatter is not None and model.scatter.num_rows:
-        replay(_scatter_program_order(model), model.scatter.num_groups)
-    tr.global_load_transactions -= hits
-    tr.l2_hits += hits
-    return tr
-
-
-def synthesize_trace(model: KernelModel, device: DeviceSpec,
-                     base: Optional[KernelTrace] = None) -> KernelTrace:
-    """The trace a traced batched execution of ``model`` would record.
-
-    ``base`` is the L2-free closed-form prediction (recomputed when not
-    supplied); the L2 split is replayed on top.  Call once per runner
-    and hand out copies — the result is a pure function of the plan.
-    """
-    if base is None:
-        base = predict_trace(model, device)
-    if base is None:
-        raise ValueError("closed-form trace prediction unavailable for "
-                         "this model; plan is not fused-certifiable")
-    return _l2_adjusted(model, device, base)
 
 
 # ----------------------------------------------------------------------

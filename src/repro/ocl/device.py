@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from repro.validation import InputValidationError
+
 
 @dataclass(frozen=True)
 class DeviceSpec:
@@ -73,6 +75,19 @@ class DeviceSpec:
     #: unified L2 cache (bytes); global loads hitting a resident line
     #: cost no DRAM transaction (Fermi: 768 KB)
     l2_bytes: int = 768 * 1024
+
+    def __post_init__(self):
+        # the coalescing rule divides by both; a non-positive value
+        # would either crash deep in a launch or count nonsense
+        for name in ("wavefront_size", "transaction_bytes"):
+            if getattr(self, name) <= 0:
+                raise InputValidationError(
+                    f"DeviceSpec.{name} must be positive, got "
+                    f"{getattr(self, name)!r}")
+        if self.l2_bytes < 0:
+            raise InputValidationError(
+                f"DeviceSpec.l2_bytes must be >= 0 (0 disables the L2 "
+                f"model), got {self.l2_bytes!r}")
 
     @property
     def num_pes(self) -> int:

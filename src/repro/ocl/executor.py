@@ -47,6 +47,8 @@ from repro.ocl.memory import (
     Buffer,
     LocalBuffer,
     SegmentCache,
+    replay_streams,
+    segment_streams,
     wavefront_segments,
     wavefront_transactions,
 )
@@ -358,15 +360,16 @@ class BatchCtx:
 
     Trace parity with the per-group engine:
 
-    - requests / useful bytes / store transactions are computed
-      vectorised over a ``(groups, wavefronts, lanes)`` view — the
-      exact per-wavefront segment rule of
-      :func:`~repro.ocl.memory.wavefront_segments`;
+    - requests / useful bytes / store transactions come from
+      :func:`~repro.ocl.memory.segment_streams` over the whole lane
+      grid — the exact per-wavefront segment rule of
+      :func:`~repro.ocl.memory.wavefront_segments`, row by row;
     - the L2 model is order-sensitive (LRU), so segment streams are
       *deferred* into an access log and :meth:`finalize` replays them
-      in per-group execution order (group-major, statements in program
-      order) — producing the identical hit/miss sequence the
-      sequential engine would.
+      with :func:`~repro.ocl.memory.replay_streams` in per-group
+      execution order (group-major, statements in program order) —
+      producing the identical hit/miss sequence the sequential engine
+      would.
     """
 
     def __init__(self, device: DeviceSpec, group_ids: np.ndarray,
@@ -385,7 +388,7 @@ class BatchCtx:
         self._trace = trace
         self._cache = cache
         self._local_bytes = 0
-        # deferred L2 accesses: (is_load, buf_id, segments, group_offsets)
+        # deferred L2 accesses: (is_load, buf_id, segments, offsets)
         self._log: List[Tuple[bool, int, np.ndarray, np.ndarray]] = []
 
     def sub(self, lo: int, hi: int) -> "BatchCtx":
@@ -396,57 +399,13 @@ class BatchCtx:
         return BatchCtx(self.device, np.arange(lo, hi, dtype=np.int64),
                         self.local_size, self._trace, self._cache)
 
-    # ------------------------------------------------------------------
-    # vectorised coalescing accounting
-    # ------------------------------------------------------------------
     def _segments_grid(self, idx: np.ndarray, itemsize: int,
                        mask: np.ndarray | None):
-        """Per-wavefront transaction segments for all groups at once.
-
-        Returns ``(requests, segments, group_counts, useful_bytes)``
-        where ``segments`` is the flat per-(group, wavefront) ordered
-        segment stream — the concatenation of what
-        :func:`~repro.ocl.memory.wavefront_segments` returns group by
-        group — and ``group_counts[g]`` slices out group ``g``'s part.
-        """
+        """Per-wavefront transaction segments for all groups at once
+        (see :func:`~repro.ocl.memory.segment_streams`)."""
         dev = self.device
-        w = dev.wavefront_size
-        m = self.local_size
-        nwf = -(-m // w)
-        pad = nwf * w - m
-        seg = idx * itemsize // dev.transaction_bytes
-        if pad:
-            seg = np.concatenate(
-                [seg, np.full((self.num_groups, pad), -1, dtype=np.int64)],
-                axis=1,
-            )
-        if mask is None:
-            active = seg >= 0
-        else:
-            if pad:
-                mask = np.concatenate(
-                    [mask, np.zeros((self.num_groups, pad), dtype=bool)],
-                    axis=1,
-                )
-            active = mask
-            seg = np.where(active, seg, np.int64(-1))
-        seg = seg.reshape(self.num_groups, nwf, w)
-        active = active.reshape(self.num_groups, nwf, w)
-        seg_sorted = np.sort(seg, axis=2)
-        newseg = np.ones(seg_sorted.shape, dtype=bool)
-        newseg[:, :, 1:] = seg_sorted[:, :, 1:] != seg_sorted[:, :, :-1]
-        newseg &= seg_sorted >= 0
-        segments = seg_sorted[newseg]          # C order = (group, wf) order
-        group_counts = newseg.sum(axis=(1, 2))
-        requests = int(active.any(axis=2).sum())
-        useful = int(active.sum()) * itemsize
-        return requests, segments, group_counts, useful
-
-    def _defer(self, is_load: bool, buf: Buffer, segments: np.ndarray,
-               group_counts: np.ndarray) -> None:
-        offsets = np.zeros(self.num_groups + 1, dtype=np.int64)
-        np.cumsum(group_counts, out=offsets[1:])
-        self._log.append((is_load, id(buf), segments, offsets))
+        return segment_streams(idx, itemsize, dev.wavefront_size,
+                               dev.transaction_bytes, mask)
 
     def finalize(self) -> None:
         """Replay the deferred segment streams through the L2 model in
@@ -455,16 +414,9 @@ class BatchCtx:
         log, self._log = self._log, []
         if self._cache is None or self._trace is None or not log:
             return
-        cache, tr = self._cache, self._trace
-        for g in range(self.num_groups):
-            for is_load, buf_id, segments, offsets in log:
-                s = segments[offsets[g]:offsets[g + 1]]
-                if not s.size:
-                    continue
-                misses = cache.access(buf_id, s)
-                if is_load:
-                    tr.global_load_transactions += misses
-                    tr.l2_hits += s.size - misses
+        misses, hits = replay_streams(self._cache, log, self.num_groups)
+        self._trace.global_load_transactions += misses
+        self._trace.l2_hits += hits
 
     # ------------------------------------------------------------------
     # global memory
@@ -479,13 +431,13 @@ class BatchCtx:
         if mask is not None:
             mask = self._grid(mask, bool)
         if self._trace is not None:
-            req, segments, counts, useful = self._segments_grid(
+            req, segments, offsets, useful = self._segments_grid(
                 idx, buf.itemsize, mask
             )
             self._trace.global_load_requests += req
             self._trace.global_load_bytes_useful += useful
             if self._cache is not None:
-                self._defer(True, buf, segments, counts)
+                self._log.append((True, id(buf), segments, offsets))
             else:
                 self._trace.global_load_transactions += int(segments.size)
         if mask is None:
@@ -501,7 +453,7 @@ class BatchCtx:
         if mask is not None:
             mask = self._grid(mask, bool)
         if self._trace is not None:
-            req, segments, counts, useful = self._segments_grid(
+            req, segments, offsets, useful = self._segments_grid(
                 idx, buf.itemsize, mask
             )
             self._trace.global_store_requests += req
@@ -510,7 +462,7 @@ class BatchCtx:
             if self._cache is not None:
                 # write-allocate: lines become resident during replay,
                 # but the DRAM write-back is charged in full above
-                self._defer(False, buf, segments, counts)
+                self._log.append((False, id(buf), segments, offsets))
         if mask is None:
             buf.data[idx] = values
         else:

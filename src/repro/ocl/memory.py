@@ -6,13 +6,20 @@ work-group-local scratch allocation (capacity-checked against the CU's
 local memory).  Kernels never index these directly — all access goes
 through the :class:`~repro.ocl.executor.WorkGroupCtx` so that every
 load/store is traced.
+
+The coalescing and L2 rules live here too, once: the per-wavefront
+segment rule (:func:`wavefront_segments` for one access,
+:func:`segment_streams` for a whole ``(groups, lanes)`` grid) and the
+group-major LRU replay (:func:`replay_streams`) that both the batched
+engine and the static trace synthesis
+(:func:`repro.analyze.trace.synthesize_trace`) feed.
 """
 
 from __future__ import annotations
 
 import enum
 from collections import OrderedDict
-from typing import Tuple
+from typing import Hashable, Sequence, Tuple
 
 import numpy as np
 
@@ -208,3 +215,78 @@ def wavefront_segments(
     requests = int(rows_active.sum())
     useful = int(active.sum()) * itemsize
     return requests, segments, useful
+
+
+def segment_streams(
+    idx: np.ndarray,
+    itemsize: int,
+    wavefront_size: int,
+    transaction_bytes: int,
+    mask: np.ndarray | None = None,
+) -> Tuple[int, np.ndarray, np.ndarray, int]:
+    """:func:`wavefront_segments` for every row of a ``(groups, lanes)``
+    grid at once — one row per work-group.
+
+    Returns ``(requests, segments, offsets, useful_bytes)``: the
+    requests and useful bytes summed over all rows, the concatenated
+    per-row segment streams (row ``g`` is
+    ``segments[offsets[g]:offsets[g + 1]]``, identical to what
+    :func:`wavefront_segments` returns for ``idx[g]``/``mask[g]``).
+    """
+    groups, lanes = idx.shape
+    nwf = -(-lanes // wavefront_size)
+    pad = nwf * wavefront_size - lanes
+    seg = idx * itemsize // transaction_bytes
+    if pad:
+        seg = np.concatenate(
+            [seg, np.full((groups, pad), -1, dtype=np.int64)], axis=1)
+    if mask is None:
+        active = seg >= 0
+    else:
+        active = mask
+        if pad:
+            active = np.concatenate(
+                [active, np.zeros((groups, pad), dtype=bool)], axis=1)
+        seg = np.where(active, seg, np.int64(-1))
+    seg = seg.reshape(groups, nwf, wavefront_size)
+    active = active.reshape(groups, nwf, wavefront_size)
+    seg_sorted = np.sort(seg, axis=2)
+    newseg = np.ones(seg_sorted.shape, dtype=bool)
+    newseg[:, :, 1:] = seg_sorted[:, :, 1:] != seg_sorted[:, :, :-1]
+    newseg &= seg_sorted >= 0
+    segments = seg_sorted[newseg]          # C order = (group, wf) order
+    offsets = np.zeros(groups + 1, dtype=np.int64)
+    np.cumsum(newseg.sum(axis=(1, 2)), out=offsets[1:])
+    requests = int(active.any(axis=2).sum())
+    useful = int(active.sum()) * itemsize
+    return requests, segments, offsets, useful
+
+
+def replay_streams(
+    cache: SegmentCache,
+    streams: Sequence[Tuple[bool, Hashable, np.ndarray, np.ndarray]],
+    num_groups: int,
+) -> Tuple[int, int]:
+    """Feed per-group segment streams through the L2 model in the order
+    the per-group engine executes them: group by group, and within a
+    group the streams in program order.
+
+    Each stream is ``(is_load, buffer_key, segments, offsets)`` with
+    ``segments``/``offsets`` as returned by :func:`segment_streams`.
+    Stores are write-allocates: their lines become resident but they
+    count as neither misses nor hits.  Returns
+    ``(load_misses, load_hits)``.
+    """
+    streams = [(is_load, key, segments, offsets.tolist())
+               for is_load, key, segments, offsets in streams]
+    misses = hits = 0
+    for g in range(num_groups):
+        for is_load, key, segments, offsets in streams:
+            lo, hi = offsets[g], offsets[g + 1]
+            if lo == hi:
+                continue
+            m = cache.access(key, segments[lo:hi])
+            if is_load:
+                misses += m
+                hits += hi - lo - m
+    return misses, hits

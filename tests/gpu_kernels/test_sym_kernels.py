@@ -9,14 +9,15 @@ closed-form L2 prediction must equal the dynamic trace *exactly*.
 import numpy as np
 import pytest
 
-from repro.analyze.symmetric import build_sym_model, predict_trace_l2
+from repro.analyze import build_model, build_sym_model, synthesize_trace
 from repro.codegen.sym_codelet import build_sym_plan
 from repro.core.crsd import CRSDMatrix
 from repro.core.symcrsd import SymCRSDMatrix
-from repro.gpu_kernels import CrsdSpMV, SymCrsdSpMV
+from repro.gpu_kernels import CrsdSpMM, CrsdSpMV, SymCrsdSpMV
 from repro.matrices import generators as gen
 from repro.obs.metrics import derive_metrics
 from repro.ocl.device import TESLA_C2050
+from tests.conftest import random_diagonal_matrix
 
 
 @pytest.fixture
@@ -87,21 +88,47 @@ def test_dram_bytes_reduction_at_least_40pct(nprng):
     assert np.array_equal(SymCrsdSpMV(sym).run(x).y, full.matvec(x))
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_static_l2_prediction_exact(case, nprng):
-    """The analyzer's replayed L2 model must equal the dynamic trace
-    exactly — transactions, hits and stores."""
-    coo = CASES[case](nprng)
-    _, sym = build_pair(coo)
-    x = nprng.standard_normal(coo.shape[1])
-    dyn = SymCrsdSpMV(sym).run(x).trace
-    model = build_sym_model(build_sym_plan(sym))
-    pred = predict_trace_l2(model, TESLA_C2050)
-    assert pred is not None
-    assert pred.global_load_transactions == dyn.global_load_transactions
-    assert pred.global_store_transactions == dyn.global_store_transactions
-    assert pred.l2_hits == dyn.l2_hits
-    assert pred.flops == dyn.flops
+#: full CRSD inputs with scatter rows: (nvec, L2 bytes or None for
+#: the device default); the small L2 forces evictions, so the replay
+#: order has to match the engine's, not just the set of lines touched
+FULL_CASES = {
+    "full_scatter": (1, None),
+    "full_scatter_nvec2": (2, None),
+    "full_scatter_small_l2": (1, 2048),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES) + sorted(FULL_CASES))
+def test_static_l2_prediction_exact(case, nprng, monkeypatch):
+    """The analyzer's replayed L2 model must equal the dynamic batched
+    trace exactly — every counter, transactions and hits included."""
+    monkeypatch.setenv("REPRO_EXECUTOR", "batched")
+    device = TESLA_C2050
+    if case in CASES:
+        coo = CASES[case](nprng)
+        _, sym = build_pair(coo)
+        x = nprng.standard_normal(coo.shape[1])
+        dyn = SymCrsdSpMV(sym).run(x).trace
+        model = build_sym_model(build_sym_plan(sym))
+    else:
+        nvec, l2_bytes = FULL_CASES[case]
+        if l2_bytes is not None:
+            device = TESLA_C2050.with_overrides(l2_bytes=l2_bytes)
+        coo = random_diagonal_matrix(nprng, n=300, density=0.7, scatter=8)
+        crsd = CRSDMatrix.from_coo(coo, mrows=32)
+        if nvec > 1:
+            runner = CrsdSpMM(crsd, nvec, device=device)
+            x = nprng.standard_normal((coo.shape[1], nvec))
+        else:
+            runner = CrsdSpMV(crsd, device=device)
+            x = nprng.standard_normal(coo.shape[1])
+        dyn = runner.run(x).trace
+        model = build_model(runner.plan, scatter_colval=crsd.scatter_colval,
+                            scatter_rowno=crsd.scatter_rowno)
+        assert model.scatter is not None and model.scatter.num_rows > 0
+    pred = synthesize_trace(model, device)
+    assert dyn.l2_hits > 0
+    assert pred == dyn
 
 
 def test_strict_mode_compiles_clean(nprng):

@@ -7,6 +7,7 @@ from repro.ocl.device import TESLA_C2050
 from repro.ocl.errors import DeviceMemoryError, LaunchError, LocalMemoryError
 from repro.ocl.executor import Context, launch
 from repro.ocl.trace import KernelTrace
+from repro.validation import InputValidationError
 
 
 @pytest.fixture
@@ -213,3 +214,17 @@ class TestTrace:
         assert TESLA_C2050.peak_gflops("single") == 1030.0
         with pytest.raises(ValueError):
             TESLA_C2050.peak_gflops("half")
+
+    @pytest.mark.parametrize("overrides", [
+        {"transaction_bytes": -128},
+        {"transaction_bytes": 0},
+        {"wavefront_size": 0},
+        {"wavefront_size": -32},
+        {"l2_bytes": -1},
+    ], ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()))
+    def test_device_rejects_nonsense_geometry(self, overrides):
+        with pytest.raises(InputValidationError, match=next(iter(overrides))):
+            TESLA_C2050.with_overrides(**overrides)
+
+    def test_device_accepts_disabled_l2(self):
+        assert TESLA_C2050.with_overrides(l2_bytes=0).l2_bytes == 0

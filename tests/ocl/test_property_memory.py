@@ -4,7 +4,12 @@ reference implementation."""
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.ocl.memory import SegmentCache, wavefront_segments, wavefront_transactions
+from repro.ocl.memory import (
+    SegmentCache,
+    segment_streams,
+    wavefront_segments,
+    wavefront_transactions,
+)
 
 
 def brute_force(indices, itemsize, wavefront, txn_bytes, mask=None):
@@ -62,6 +67,44 @@ def test_segments_list_consistent_with_count(a):
     req2, txn, useful2 = wavefront_transactions(idx, itemsize, wavefront, 128, m)
     assert (req, segs.size, useful) == (req2, txn, useful2)
     assert np.all(segs >= 0)
+
+
+@st.composite
+def access_grid(draw):
+    groups = draw(st.integers(0, 6))
+    lanes = draw(st.integers(1, 150))
+    flat = draw(st.lists(st.integers(0, 10_000), min_size=groups * lanes,
+                         max_size=groups * lanes))
+    idx = np.array(flat, dtype=np.int64).reshape(groups, lanes)
+    mask = None
+    if draw(st.booleans()):
+        bits = draw(st.lists(st.booleans(), min_size=groups * lanes,
+                             max_size=groups * lanes))
+        mask = np.array(bits, dtype=bool).reshape(groups, lanes)
+    itemsize = draw(st.sampled_from([4, 8]))
+    wavefront = draw(st.sampled_from([16, 32, 64]))
+    return idx, mask, itemsize, wavefront
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=access_grid())
+def test_grid_rows_equal_wavefront_segments(a):
+    """Row ``g`` of the grid form is the 1-D rule applied to ``idx[g]``
+    (lane counts need not be a multiple of the wavefront)."""
+    idx, mask, itemsize, wavefront = a
+    req, segs, offsets, useful = segment_streams(
+        idx, itemsize, wavefront, 128, mask)
+    assert offsets.shape == (idx.shape[0] + 1,) and offsets[0] == 0
+    assert offsets[-1] == segs.size
+    req_sum = useful_sum = 0
+    for g in range(idx.shape[0]):
+        r, want, u = wavefront_segments(
+            idx[g], itemsize, wavefront, 128,
+            None if mask is None else mask[g])
+        assert np.array_equal(segs[offsets[g]:offsets[g + 1]], want)
+        req_sum += r
+        useful_sum += u
+    assert (req, useful) == (req_sum, useful_sum)
 
 
 @settings(max_examples=100, deadline=None)

@@ -8,7 +8,10 @@ plus the conservation arithmetic the certificate carries.
 """
 
 import json
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 from repro.analyze.report import CHECKS
@@ -194,3 +197,41 @@ class TestSerialisation:
         assert payload["ok"] is False
         assert payload["reasons"]
         assert payload["findings"][0]["check"] == "shard-halo"
+
+
+class TestLayering:
+    def test_certification_does_not_load_the_engines(self, coo, crsd,
+                                                     tmp_path):
+        """The analyzer sits below the execution engines: certifying a
+        shard plan (L2 replay included) must not import
+        ``repro.gpu_kernels``.  The plan is built here and handed over
+        as plain geometry, because importing ``repro.shard`` itself
+        loads the sharded executor."""
+        plan = ShardPlanner(crsd, coo=coo).plan(4)
+        np.savez(tmp_path / "coo.npz", rows=coo.rows, cols=coo.cols,
+                 vals=coo.vals, shape=np.array(coo.shape))
+        (tmp_path / "plan.json").write_text(json.dumps(plan.to_dict()))
+        code = f"""
+import json, sys
+from types import SimpleNamespace
+import numpy as np
+from repro.analyze.sharding import certify_shard_plan
+from repro.core.crsd import CRSDMatrix
+from repro.formats.coo import COOMatrix
+
+arrays = np.load({str(tmp_path / "coo.npz")!r})
+coo = COOMatrix(arrays["rows"], arrays["cols"], arrays["vals"],
+                tuple(int(n) for n in arrays["shape"]))
+plan = json.load(open({str(tmp_path / "plan.json")!r}))
+plan["shards"] = [SimpleNamespace(**s) for s in plan["shards"]]
+cert = certify_shard_plan(CRSDMatrix.from_coo(coo, mrows=32),
+                          SimpleNamespace(**plan))
+assert cert.ok and cert.whole_trace.l2_hits > 0, cert.reasons
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("repro"))))
+"""
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert "repro.analyze.sharding" in loaded
+        assert not [m for m in loaded if m.startswith("repro.gpu_kernels")]
