@@ -198,6 +198,7 @@ def build_model(
     precision: str = "double",
     scatter_colval: Optional[np.ndarray] = None,
     scatter_rowno: Optional[np.ndarray] = None,
+    dia_val_size: Optional[int] = None,
 ) -> KernelModel:
     """Derive the symbolic access model from ``plan``.
 
@@ -205,13 +206,22 @@ def build_model(
     (``colval.T.ravel()``, as the runner uploads it) or the original
     ``(num_rows, width)`` matrix — both are accepted.  When omitted,
     the scatter kernel's indirect accesses carry only an assumed range.
+
+    ``dia_val_size`` is the element count of the ``dia_val`` buffer the
+    launch actually binds.  It defaults to the sum of the plan's own
+    region slabs, which is the whole buffer for a whole-matrix plan; a
+    shard sub-plan keeps absolute slab addressing against the full
+    matrix's buffer, so its runner passes that buffer's size.  It is
+    never derived from the plan's ``slab_base`` values, so a corrupt
+    plan cannot certify itself.
     """
     isize = _REAL_ITEMSIZE.get(precision.lower())
     if isize is None:
         raise ValueError(f"unknown precision {precision!r}")
-    dia_slots = sum(r.nrs * r.nnz_per_segment for r in plan.regions)
+    if dia_val_size is None:
+        dia_val_size = sum(r.nrs * r.nnz_per_segment for r in plan.regions)
     sizes = {
-        "dia_val": dia_slots,
+        "dia_val": int(dia_val_size),
         "x": plan.ncols * plan.nvec,
         "y": plan.nrows * plan.nvec,
         "scatter_colval": plan.scatter.num_rows * plan.scatter.width,

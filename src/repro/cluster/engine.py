@@ -69,6 +69,7 @@ from repro.cluster.resilience import (
     result_digest,
 )
 from repro.cluster.router import ClusterRouter
+from repro.core.serialize import Ingested, MatrixFingerprints, ingest
 from repro.obs import recorder as _obs
 from repro.ocl.device import DeviceSpec, TESLA_C2050
 from repro.resilience.faults import FAULT_KINDS
@@ -153,8 +154,9 @@ class _Inflight:
     """One dispatched split request awaiting its shard partials."""
 
     rid: int
-    fps: Any
-    matrix: Any
+    fps: MatrixFingerprints
+    #: the canonical COO the fingerprints describe (ingested once)
+    coo: Any
     x: np.ndarray
     arrival_s: float
     deadline_abs: Optional[float]
@@ -257,7 +259,7 @@ class ClusterEngine:
 
         self._next_id = 0
         self._next_seq = 0
-        #: (arrival, rid, fps, matrix, x, deadline_rel, resilience)
+        #: (arrival, rid, fps, coo, x, deadline_rel, resilience)
         self._arrivals: List[Tuple] = []
         self._events: List[ClusterEvent] = []
         self._placements: Dict[str, _Placement] = {}
@@ -317,16 +319,17 @@ class ClusterEngine:
 
         Same contract as :meth:`ServeEngine.submit`; routing happens
         inside :meth:`run`, at the arrival instant, against the ring
-        as it exists then.
+        as it exists then.  The matrix is ingested (canonicalised and
+        fingerprinted) once, here; every device dispatch, shard,
+        value fan-out and failover re-dispatch of the request reuses
+        that result.
         """
-        from repro.core.serialize import fingerprints
-
-        fps = fingerprints(matrix)
+        coo, fps = ingest(matrix)
         arrival = self.now if at is None else max(float(at), 0.0)
         rid = self._next_id
         self._next_id += 1
         self._arrivals.append(
-            (arrival, rid, fps, matrix, x, deadline_s, resilience))
+            (arrival, rid, fps, coo, x, deadline_s, resilience))
         return rid
 
     # ------------------------------------------------------------------
@@ -479,23 +482,22 @@ class ClusterEngine:
     # ------------------------------------------------------------------
     # routing + dispatch
     # ------------------------------------------------------------------
-    def _placement_for(self, fps, matrix) -> _Placement:
+    def _placement_for(self, fps, coo) -> _Placement:
         placement = self._placements.get(fps.pattern)
         if placement is not None:
             return placement
         home = self.router.place(fps.pattern)
         placement = _Placement(pattern=fps.pattern, home=home)
-        nrows = int(getattr(matrix, "nrows", None)
-                    or np.asarray(matrix).shape[0])
         want = (self.split_threshold_rows is not None
-                and nrows >= self.split_threshold_rows
+                and coo.nrows >= self.split_threshold_rows
                 and self.router.num_alive >= 2)
         if want:
             k = min(self.split_ways or self.router.num_alive,
                     self.router.num_alive)
             if k >= 2:
-                cert = self.devices[home].engine.cache.shard_certificate(
-                    matrix, k, device=self.device_spec,
+                cache = self.devices[home].engine.cache
+                cert = cache.shard_certificate_for(
+                    cache.entry(coo, fps), k, device=self.device_spec,
                     precision=self.precision, mrows=self.mrows,
                     use_local_memory=self.use_local_memory)
                 if cert.ok:
@@ -521,10 +523,10 @@ class ClusterEngine:
                     replicas=list(placement.replica_devices))
         return placement
 
-    def _dispatch(self, at, rid, fps, matrix, x, deadline_rel,
+    def _dispatch(self, at, rid, fps, coo, x, deadline_rel,
                   resilience, out: List[ServedResult], *,
                   fresh: bool = True) -> None:
-        placement = self._placement_for(fps, matrix)
+        placement = self._placement_for(fps, coo)
         shed = False
         if fresh:
             self._orig_arrival[rid] = at
@@ -549,12 +551,12 @@ class ClusterEngine:
                 self._tenant_of[rid] = tenant
                 self._inflight_count += 1
         if placement.split and resilience is None:
-            self._dispatch_split(placement, at, rid, fps, matrix, x,
+            self._dispatch_split(placement, at, rid, fps, coo, x,
                                  deadline_rel)
             return
         replicas = [d for d in placement.replica_devices
                     if self.devices[d].alive] or [placement.home]
-        self._fan_out_values(placement, fps, matrix, replicas)
+        self._fan_out_values(placement, fps, coo, replicas)
         if shed:
             # overflow redirection: least-loaded live replica
             target = min(replicas,
@@ -566,18 +568,18 @@ class ClusterEngine:
                 and len(replicas) > 1):
             reason = self._hedge_trigger(target, at, deadline_rel)
             if reason is not None:
-                self._dispatch_hedged(placement, at, rid, fps, matrix,
+                self._dispatch_hedged(placement, at, rid, fps, coo,
                                       x, deadline_rel, target, replicas,
                                       reason)
                 return
         drid = self.devices[target].engine.submit(
-            matrix, x, at=at, deadline_s=deadline_rel,
+            Ingested(coo, fps), x, at=at, deadline_s=deadline_rel,
             resilience=resilience)
         self._submap[(target, drid)] = rid
         self._outstanding[target] = \
             self._outstanding.get(target, 0) + 1
 
-    def _fan_out_values(self, placement: _Placement, fps, matrix,
+    def _fan_out_values(self, placement: _Placement, fps, coo,
                         replicas: List[int]) -> None:
         """Warm every replica's plan cache with this value variant so a
         failover or hedge never pays a cold prepare."""
@@ -586,7 +588,7 @@ class ClusterEngine:
         for d in replicas:
             if d == placement.home:
                 continue
-            self.devices[d].engine.cache.entry(matrix)
+            self.devices[d].engine.cache.entry(coo, fps)
             self.resilience_stats.value_fanouts += 1
         placement.fanned.add(fps.combined)
 
@@ -609,13 +611,13 @@ class ClusterEngine:
         return None
 
     def _dispatch_hedged(self, placement: _Placement, at, rid, fps,
-                         matrix, x, deadline_rel, target: int,
+                         coo, x, deadline_rel, target: int,
                          replicas: List[int], reason: str) -> None:
-        group = _HedgeGroup(rid=rid, fps=fps, matrix=matrix, x=x,
+        group = _HedgeGroup(rid=rid, fps=fps, coo=coo, x=x,
                             arrival_s=at, deadline_rel=deadline_rel)
         self._hedge_groups[rid] = group
         drid = self.devices[target].engine.submit(
-            matrix, x, at=at, deadline_s=deadline_rel)
+            Ingested(coo, fps), x, at=at, deadline_s=deadline_rel)
         self._submap[(target, drid)] = rid
         self._hedge_copies[(target, drid)] = rid
         group.copies.append(_HedgeCopy(target, drid, 0))
@@ -626,7 +628,8 @@ class ClusterEngine:
                 others[:min(self.hedge.max_hedges, len(others))], 1):
             delay = self.hedge.backoff.backoff_s(k)
             hdrid = self.devices[dev_idx].engine.submit(
-                matrix, x, at=at + delay, deadline_s=deadline_rel)
+                Ingested(coo, fps), x, at=at + delay,
+                deadline_s=deadline_rel)
             self._submap[(dev_idx, hdrid)] = rid
             self._hedge_copies[(dev_idx, hdrid)] = rid
             group.copies.append(_HedgeCopy(dev_idx, hdrid, k))
@@ -639,11 +642,11 @@ class ClusterEngine:
                         reason=reason)
 
     def _dispatch_split(self, placement: _Placement, at, rid, fps,
-                        matrix, x, deadline_rel) -> None:
+                        coo, x, deadline_rel) -> None:
         cert = placement.cert
         self.halo.ship(cert, pattern=fps.pattern)
         info = _Inflight(
-            rid=rid, fps=fps, matrix=matrix, x=x, arrival_s=at,
+            rid=rid, fps=fps, coo=coo, x=x, arrival_s=at,
             deadline_abs=(None if deadline_rel is None
                           else at + float(deadline_rel)),
             specs=cert.shard_plan.shards,
@@ -653,7 +656,7 @@ class ClusterEngine:
                 continue
             dev_idx = placement.shard_devices[spec.index]
             self.devices[dev_idx].engine.submit_shard(
-                matrix, x, num_shards=placement.num_shards,
+                Ingested(coo, fps), x, num_shards=placement.num_shards,
                 shard_index=spec.index, at=at, parent_id=rid)
             info.expected[spec.index] = dev_idx
         self._inflight[rid] = info
@@ -849,15 +852,13 @@ class ClusterEngine:
                 split=True)
             deadline_rel = (None if info.deadline_abs is None
                             else info.deadline_abs - arrival)
-            self._dispatch(arrival, rid, info.fps, info.matrix, info.x,
+            self._dispatch(arrival, rid, info.fps, info.coo, info.x,
                            deadline_rel, None, out, fresh=False)
             moved += 1
         # unsplit work stranded on the dead device: hedge copies fall
         # out of their group (survivor copies keep racing), everything
         # else re-homes through verified failover; shard sub-requests
         # of affected parents were already re-dispatched above
-        from repro.core.serialize import MatrixFingerprints
-
         stranded_hedges = set()
         for req in evacuated:
             if req.parent_id is not None:
@@ -878,12 +879,9 @@ class ClusterEngine:
                 split=False)
             deadline_rel = (None if req.deadline_s is None
                             else req.deadline_s - arrival)
-            fps = MatrixFingerprints(
-                combined=req.entry.fingerprint,
-                pattern=req.entry.pattern_fingerprint, values="")
-            self._dispatch(arrival, rid, fps, req.entry.coo, req.x,
-                           deadline_rel, req.resilience, out,
-                           fresh=False)
+            self._dispatch(arrival, rid, req.entry.fingerprints,
+                           req.entry.coo, req.x, deadline_rel,
+                           req.resilience, out, fresh=False)
             moved += 1
         # a hedged request that lost *every* copy to the dead device
         # restarts whole (its group had no survivors to race)
@@ -899,7 +897,7 @@ class ClusterEngine:
                 None if group.deadline_rel is None
                 else group.arrival_s + float(group.deadline_rel)
                 - arrival)
-            self._dispatch(arrival, rid, group.fps, group.matrix,
+            self._dispatch(arrival, rid, group.fps, group.coo,
                            group.x, deadline_rel, None, out,
                            fresh=False)
             moved += 1

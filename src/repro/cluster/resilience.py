@@ -178,13 +178,15 @@ class _HedgeCopy:
 class _HedgeGroup:
     """One hedged request awaiting its first completion.
 
-    Carries enough context (matrix, x, deadline) to re-dispatch the
-    whole request if every copy is lost to device failures.
+    Carries enough context (the ingested matrix, x, deadline) to
+    re-dispatch the whole request if every copy is lost to device
+    failures.
     """
 
     rid: int
     fps: Any
-    matrix: Any
+    #: the canonical COO ``fps`` describes
+    coo: Any
     x: np.ndarray
     arrival_s: float
     deadline_rel: Optional[float]

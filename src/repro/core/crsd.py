@@ -314,19 +314,17 @@ class CRSDMatrix(SparseFormat):
     # ------------------------------------------------------------------
     @property
     def fingerprint(self) -> str:
-        """Stable content hash of the mathematical matrix (lazy, cached).
+        """Stable content hash of the mathematical matrix.
 
         Equals :func:`repro.core.serialize.fingerprint` of the COO this
         format was built from, so serving-layer cache keys and profile
         artifacts agree on the matrix identity regardless of carrier.
+        Memoised by :func:`~repro.core.serialize.fingerprints`, which
+        also freezes this carrier's arrays.
         """
-        fp = getattr(self, "_fingerprint", None)
-        if fp is None:
-            from repro.core.serialize import fingerprint as _fp
+        from repro.core.serialize import fingerprint
 
-            fp = _fp(self)
-            self._fingerprint = fp
-        return fp
+        return fingerprint(self)
 
     def __repr__(self) -> str:
         return (

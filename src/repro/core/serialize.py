@@ -9,7 +9,10 @@ region metadata needed to regenerate codelets bit-identically.
 a stable content hash of the *mathematical* matrix, independent of the
 carrier format, so cache keys (the serving layer's
 :class:`~repro.serve.cache.PlanCache`), profile artifacts and saved
-files all agree on which matrix they are talking about.
+files all agree on which matrix they are talking about.  Like the
+format, the hash is paid once per carrier object: :func:`fingerprints`
+memoises it on the carrier and freezes the carrier's arrays, so the
+memo cannot go stale.
 """
 
 from __future__ import annotations
@@ -18,12 +21,14 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
 from repro.core.crsd import CRSDBuildParams, CRSDMatrix
 from repro.core.pattern import DiagonalPattern, PatternRegion
+from repro.formats.base import SparseFormat
+from repro.formats.coo import COOMatrix
 
 #: format marker + version for forward compatibility
 MAGIC = "repro-crsd"
@@ -59,19 +64,8 @@ class MatrixFingerprints:
     values: str
 
 
-def fingerprints(matrix) -> MatrixFingerprints:
-    """All three content hashes of ``matrix`` in one canonicalisation
-    pass (see :func:`fingerprint` for the canonical form and the
-    accepted carrier formats)."""
-    from repro.api import _as_coo
-
-    # carriers whose *serving identity* differs from the mathematical
-    # matrix (e.g. the symmetric half carrier, whose cached plans and
-    # codelets are not interchangeable with the full pattern's) declare
-    # a variant tag folded into every hash — read off the original
-    # object, before the COO coercion erases it
-    variant = bytes(getattr(matrix, "fingerprint_variant", b""))
-    coo = _as_coo(matrix)
+def _digest(coo, variant: bytes) -> MatrixFingerprints:
+    """The three hashes of a canonical COO matrix (never memoised)."""
     shape = np.asarray([coo.nrows, coo.ncols], dtype=np.int64).tobytes()
     rows = np.ascontiguousarray(coo.rows, dtype=np.int64).tobytes()
     cols = np.ascontiguousarray(coo.cols, dtype=np.int64).tobytes()
@@ -85,6 +79,128 @@ def fingerprints(matrix) -> MatrixFingerprints:
         combined=combined.hexdigest()[:FINGERPRINT_LEN],
         pattern=pattern.hexdigest()[:FINGERPRINT_LEN],
         values=values.hexdigest()[:FINGERPRINT_LEN])
+
+
+def fingerprints(matrix) -> MatrixFingerprints:
+    """All three content hashes of ``matrix`` in one canonicalisation
+    pass (see :func:`fingerprint` for the canonical form and the
+    accepted carrier formats).
+
+    A sparse carrier (any :class:`~repro.formats.base.SparseFormat`,
+    :class:`~repro.core.crsd.CRSDMatrix` and
+    :class:`~repro.core.symcrsd.SymCRSDMatrix` included) is hashed
+    once: the first call marks every array of its
+    ``array_inventory()`` read-only — so an in-place write raises
+    numpy's ``ValueError`` instead of leaving a stale hash — and
+    memoises the result, together with the carrier's canonical COO
+    form, on the object.  The memo holds while the carrier keeps the
+    same shape and the very same, still read-only array objects;
+    rebinding one (``coo.vals = new``) or making one writeable again
+    re-hashes.  Dense ndarrays and scipy-style objects are hashed on
+    every call.
+    """
+    from repro.api import _as_coo
+
+    # carriers whose *serving identity* differs from the mathematical
+    # matrix (e.g. the symmetric half carrier, whose cached plans and
+    # codelets are not interchangeable with the full pattern's) declare
+    # a variant tag folded into every hash — read off the original
+    # object, before the COO coercion erases it
+    variant = bytes(getattr(matrix, "fingerprint_variant", b""))
+    if not isinstance(matrix, SparseFormat):
+        return _digest(_as_coo(matrix), variant)
+    memo = _valid_memo(matrix)
+    if memo is not None:
+        return memo[3]
+    arrays = tuple(matrix.array_inventory().values())
+    for arr in arrays:
+        arr.flags.writeable = False
+    coo = _as_coo(matrix)
+    fps = _digest(coo, variant)
+    if coo is not matrix:
+        # the memoised canonical form is shared by every request that
+        # ingests this carrier, so it is frozen too, and it records
+        # whose fingerprints it travels with (see as_ingested)
+        for arr in coo.array_inventory().values():
+            arr.flags.writeable = False
+        coo._ingested_fingerprints = fps
+    # the memo keeps the hashed arrays themselves, not their ids: an id
+    # can be reused by a new array once a rebound one is freed; a COO
+    # carrier is its own canonical form (no self-reference kept)
+    matrix._fingerprints_memo = (
+        matrix.shape, arrays, None if coo is matrix else coo, fps)
+    return fps
+
+
+def _valid_memo(matrix):
+    """The carrier's ``(shape, arrays, coo, fingerprints)`` memo, or
+    ``None`` when absent or stale."""
+    memo = getattr(matrix, "_fingerprints_memo", None)
+    if memo is None or memo[0] != matrix.shape:
+        return None
+    arrays = tuple(matrix.array_inventory().values())
+    if len(memo[1]) != len(arrays) or not all(
+            a is b and not a.flags.writeable
+            for a, b in zip(memo[1], arrays)):
+        return None
+    return memo
+
+
+class Ingested(NamedTuple):
+    """What :func:`ingest` returns for one matrix: its canonical COO
+    form and its fingerprints, produced together."""
+
+    coo: COOMatrix
+    fingerprints: MatrixFingerprints
+
+
+def ingest(matrix) -> Ingested:
+    """The canonical COO form of ``matrix`` and its fingerprints.
+
+    The serving layer's one ingest step per request, one
+    :func:`fingerprints` call.  A sparse carrier is canonicalised and
+    hashed once, through its memo: a resident CRSD, ELL or CSR carrier
+    costs one conversion and one hash however often it is served.  A
+    dense or scipy-style input is canonicalised once and the resulting
+    COO is hashed, so it is never canonicalised twice.
+    """
+    from repro.api import _as_coo
+
+    if not isinstance(matrix, SparseFormat):
+        coo = _as_coo(matrix)
+        return Ingested(coo, fingerprints(coo))
+    fps = fingerprints(matrix)
+    # fingerprints() has just validated or written the memo
+    coo = matrix._fingerprints_memo[2]
+    return Ingested(matrix if coo is None else coo, fps)
+
+
+def as_ingested(matrix) -> Ingested:
+    """``ingest(matrix)``, or ``matrix`` itself when it already is the
+    :class:`Ingested` value :func:`ingest` returned.
+
+    A passed-through value is checked, without hashing, against what
+    ingest recorded: its ``coo`` must be a :class:`COOMatrix` whose
+    memo (or, for the canonical form of another carrier, whose record)
+    holds exactly its ``fingerprints``.  A hand-built pair fails with
+    ``ValueError`` instead of serving another matrix's cached entry.
+    """
+    if not isinstance(matrix, Ingested):
+        return ingest(matrix)
+    coo, fps = matrix
+    if not isinstance(coo, COOMatrix):
+        raise TypeError(
+            "an Ingested value carries the canonical COOMatrix, got "
+            f"{type(coo).__name__}; pass the matrix itself instead")
+    recorded = getattr(coo, "_ingested_fingerprints", None)
+    if recorded is None:
+        memo = _valid_memo(coo)
+        recorded = memo[3] if memo is not None else None
+    if recorded is None or recorded != fps:
+        raise ValueError(
+            "the Ingested value's fingerprints were not computed for "
+            "its matrix; build it with repro.core.serialize.ingest")
+    return matrix
 
 
 def fingerprint(matrix) -> str:

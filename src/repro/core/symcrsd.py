@@ -289,14 +289,11 @@ class SymCRSDMatrix(SparseFormat):
     @property
     def fingerprint(self) -> str:
         """Content hash; differs from the full carrier's by the
-        ``fingerprint_variant`` domain fold."""
-        fp = getattr(self, "_fingerprint", None)
-        if fp is None:
-            from repro.core.serialize import fingerprint as _fp
+        ``fingerprint_variant`` domain fold (memoised like every
+        carrier's, see :func:`repro.core.serialize.fingerprints`)."""
+        from repro.core.serialize import fingerprint
 
-            fp = _fp(self)
-            self._fingerprint = fp
-        return fp
+        return fingerprint(self)
 
     def __repr__(self) -> str:
         return (

@@ -161,9 +161,13 @@ class COOMatrix(SparseFormat):
 def _sort_and_sum_duplicates(
     rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, ncols: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sort triplets row-major and sum duplicate coordinates."""
+    """Sort triplets row-major and sum duplicate coordinates.
+
+    Always returns new arrays, never the inputs: fingerprinting freezes
+    a carrier's arrays, and that must not reach the caller's own.
+    """
     if rows.size == 0:
-        return rows, cols, vals
+        return rows.copy(), cols.copy(), vals.copy()
     keys = rows * np.int64(ncols) + cols
     order = np.argsort(keys, kind="stable")
     keys, rows, cols, vals = keys[order], rows[order], cols[order], vals[order]

@@ -25,7 +25,6 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.formats.base import (
-    INDEX_DTYPE,
     VALUE_DTYPE,
     FormatError,
     SparseFormat,
@@ -192,7 +191,7 @@ class DeltaCSRMatrix(SparseFormat):
         # CSR-DU SpMV walks the stream), so — like ELL's occupancy mask
         # — it is not part of the transferred representation.
         inv = {
-            "indptr": self.indptr.astype(INDEX_DTYPE),
+            "indptr": self.indptr,
             "stream": self.stream,
             "data": self.data,
         }

@@ -10,18 +10,28 @@ one L2 :class:`~repro.ocl.memory.SegmentCache` so the trace models the
 x-vector residency the scatter kernel inherits from the diagonal pass.
 
 The execution engine is selected by ``REPRO_EXECUTOR`` (see
-:func:`~repro.ocl.executor.executor_mode`): the default segment-batched
-engine runs each kernel as one vectorised invocation; the per-group
-reference engine (``REPRO_EXECUTOR=pergroup``) iterates work-groups
-sequentially and serves as the correctness oracle; the fused engine
-(``REPRO_EXECUTOR=fused``) executes the whole SpMV as a few
-whole-matrix expressions with a trace synthesized from the static
-predictor — entered only when the analyzer certifies the plan (see
-:mod:`repro.gpu_kernels.fused`), silently falling back to ``batched``
-otherwise.  A fused run can additionally be differentially verified
-against the batched oracle (``REPRO_FUSED_VERIFY=first`` or
-``always``); any mismatch permanently demotes the runner to
-``batched`` and files an :class:`IncidentReport` on the served run.
+:func:`~repro.ocl.executor.executor_mode`).  The default fused engine
+executes the whole SpMV as a few whole-matrix expressions with a trace
+synthesized from the static predictor — entered only when the analyzer
+certifies the plan (see :mod:`repro.gpu_kernels.fused`); a declined
+plan records a ``fused.uncertified`` event and runs on the
+segment-batched engine (``REPRO_EXECUTOR=batched``), which runs each
+kernel as one vectorised invocation.  The per-group reference engine
+(``REPRO_EXECUTOR=pergroup``) iterates work-groups sequentially and
+serves as the correctness oracle.  A fused run can additionally be
+differentially verified against the batched oracle
+(``REPRO_FUSED_VERIFY=first`` or ``always``); any mismatch permanently
+demotes the runner to ``batched`` and files an :class:`IncidentReport`
+on the served run.  :class:`~repro.shard.executor.ShardedSpMV` applies
+the same policy per shard, against that shard's batched launches.
+
+A runner builds its :class:`~repro.codegen.plan.KernelPlan` at
+construction but generates the Python codelets (emit, source
+validation, ``compile``) only when a batched or per-group launch, or
+fused verification, first needs them: a runner the fused engine serves
+never generates them.  ``strict=True`` generates them eagerly, so the
+analyzer's :class:`~repro.analyze.report.KernelAnalysisError` still
+raises at construction.
 """
 
 from __future__ import annotations
@@ -69,6 +79,45 @@ def fused_verify_mode() -> str:
     return mode
 
 
+def record_fused_decline(kernel: str, reasons, **labels) -> None:
+    """Record the ``fused.uncertified`` event of a clean prover decline
+    (the runner falls back to the batched engine)."""
+    sess = _obs.ACTIVE
+    if sess is not None:
+        sess.record_event("fused.uncertified", category="resilience",
+                          kernel=kernel, reasons=list(reasons), **labels)
+
+
+def fused_incident(kernel: str, precision: str, outcome: str, error=None,
+                   message: str = "", **labels):
+    """The :class:`~repro.resilience.engine.IncidentReport` of a fused
+    demotion to the batched engine, with its ``fused.demoted`` event.
+
+    ``outcome`` is ``"fault"`` for a crashed prover or
+    ``"verify-failed"`` for a fused result the batched oracle refuted;
+    ``labels`` (e.g. a shard index) go on the event.
+    """
+    from repro.resilience.engine import AttemptRecord, IncidentReport
+
+    incident = IncidentReport(
+        requested=FUSED_RUNG, precision=precision, served_rung=kernel,
+        attempts=[
+            AttemptRecord(
+                rung=FUSED_RUNG, attempt=1, outcome=outcome,
+                error=type(error).__name__ if error is not None else None,
+                message=message),
+            AttemptRecord(rung=kernel, attempt=1, outcome="served"),
+        ],
+        verified=(outcome == "verify-failed") or None,
+    )
+    sess = _obs.ACTIVE
+    if sess is not None:
+        sess.record_event("fused.demoted", category="resilience",
+                          kernel=kernel, outcome=outcome, message=message,
+                          **labels)
+    return incident
+
+
 class CrsdSpMV(GPUSpMV):
     """Generated-codelet CRSD SpMV runner.
 
@@ -104,13 +153,11 @@ class CrsdSpMV(GPUSpMV):
         if template is not None and self._template_compatible(
                 template, 1, bool(use_local_memory)):
             self.plan = template.plan
-            self.kernel = template.kernel
         else:
             template = None
             self.plan = build_plan(matrix,
                                    use_local_memory=use_local_memory)
-            self.kernel = generate_python_kernel(self.plan, strict=strict)
-        self._init_fused(template)
+        self._init_kernels(template, strict)
 
     @property
     def nrows(self) -> int:
@@ -119,6 +166,39 @@ class CrsdSpMV(GPUSpMV):
     @property
     def ncols(self) -> int:
         return self.matrix.ncols
+
+    def _init_kernels(self, template, strict: bool) -> None:
+        """Set up the lazily generated codelets and the fused state.
+
+        ``template`` is the adopted same-pattern donor (or ``None``):
+        its codelets and fused state are shared instead of rebuilt.
+        ``strict`` generates the codelets now, running the analyzer so
+        a bad plan raises at construction.
+        """
+        self._template = template
+        self._kernel = None
+        if strict and template is None:
+            self._kernel = generate_python_kernel(self.plan, strict=True)
+        self._fused_state_obj = None   # None = not built, False = declined
+        self._fused_demoted = False
+        self._fused_verified = False
+        self._fused_incident_pending = None
+        #: IncidentReports filed by fused demotions, newest last
+        self.fused_incidents = []
+
+    @property
+    def kernel(self):
+        """The generated Python codelets (batched and per-group forms).
+
+        Generated on first access — the fused engine never needs them —
+        or resolved through the same-pattern donor, so a twin and its
+        donor share one compiled set.
+        """
+        if self._kernel is None:
+            self._kernel = (self._template.kernel
+                            if self._template is not None
+                            else generate_python_kernel(self.plan))
+        return self._kernel
 
     @property
     def opencl_source(self) -> str:
@@ -211,15 +291,6 @@ class CrsdSpMV(GPUSpMV):
     # ------------------------------------------------------------------
     # fused engine
     # ------------------------------------------------------------------
-    def _init_fused(self, template) -> None:
-        self._fused_template = template
-        self._fused_state_obj = None   # None = not built, False = declined
-        self._fused_demoted = False
-        self._fused_verified = False
-        self._fused_incident_pending = None
-        #: IncidentReports filed by fused demotions, newest last
-        self.fused_incidents = []
-
     def _template_compatible(self, template, nvec: int,
                              use_local_memory=None) -> bool:
         """Cheap sanity guard — callers passing a template are expected
@@ -246,7 +317,7 @@ class CrsdSpMV(GPUSpMV):
         return self._fused_state_obj or None
 
     def _build_fused_state(self):
-        tpl = self._fused_template
+        tpl = self._template
         if (tpl is not None and tpl._fused_state_obj is not None
                 and tpl.precision == self.precision
                 and tpl.device == self.device):
@@ -266,42 +337,19 @@ class CrsdSpMV(GPUSpMV):
                                  "demoted to batched")
             return False
         if state is None:
-            # cleanly not certifiable: silent fallback by design
-            sess = _obs.ACTIVE
-            if sess is not None:
-                sess.record_event(
-                    "fused.uncertified", category="resilience",
-                    kernel=self.name, reasons=list(cert.reasons))
+            # cleanly not certifiable: fall back, leaving an event
+            record_fused_decline(self.name, cert.reasons)
             return False
         return state
 
     def _demote(self, outcome: str, error=None, message: str = "") -> None:
         """Permanently demote this runner to the batched engine and
         file the IncidentReport (attached to the next served run)."""
-        from repro.resilience.engine import AttemptRecord, IncidentReport
-
         self._fused_demoted = True
-        incident = IncidentReport(
-            requested=FUSED_RUNG, precision=self.precision,
-            served_rung=self.name,
-            attempts=[
-                AttemptRecord(
-                    rung=FUSED_RUNG, attempt=1, outcome=outcome,
-                    error=type(error).__name__ if error is not None
-                    else None,
-                    message=message),
-                AttemptRecord(rung=self.name, attempt=1,
-                              outcome="served"),
-            ],
-            verified=(outcome == "verify-failed") or None,
-        )
+        incident = fused_incident(self.name, self.precision, outcome,
+                                  error=error, message=message)
         self.fused_incidents.append(incident)
         self._fused_incident_pending = incident
-        sess = _obs.ACTIVE
-        if sess is not None:
-            sess.record_event("fused.demoted", category="resilience",
-                              kernel=self.name, outcome=outcome,
-                              message=message)
 
     def _execute_fused(self, xbuf, ybuf, trace: bool):
         """One fused run, or ``None`` to fall back to batched."""
@@ -311,23 +359,8 @@ class CrsdSpMV(GPUSpMV):
         verify = fused_verify_mode()
         need_verify = verify == "always" or (verify == "first"
                                              and not self._fused_verified)
-        sess = _obs.ACTIVE
-        t0 = _obs.perf_counter() if sess is not None else 0.0
-        if _flt.ACTIVE is not None:
-            _flt.ACTIVE.on_launch(FUSED_KERNEL_NAME)
-        state.kernel(self._dia_val.data, self._sval.data,
-                     xbuf.data, ybuf.data)
-        if _flt.ACTIVE is not None:
-            _flt.ACTIVE.on_launch_exit(
-                FUSED_KERNEL_NAME,
-                (self._dia_val, self._sval, xbuf, ybuf))
-        tr = state.run_trace(trace)
-        if sess is not None:
-            sess.record_kernel(
-                FUSED_KERNEL_NAME, work_groups=state.work_groups,
-                local_size=self.plan.local_size, executor="fused",
-                wall_s=_obs.perf_counter() - t0,
-                trace=tr if trace else None)
+        tr = run_fused_launch(state, self.plan.local_size, self._dia_val,
+                              self._sval, xbuf, ybuf, trace)
         if need_verify:
             mismatch = self._fused_mismatch(state, xbuf, ybuf, trace)
             if mismatch is not None:
@@ -344,9 +377,7 @@ class CrsdSpMV(GPUSpMV):
         tr_fused = state.run_trace(True)
         ybuf.data[:] = 0
         oracle = self._execute_launches(xbuf, ybuf, True, batched=True)
-        if (np.array_equal(y_fused, oracle.y)
-                and dataclasses.asdict(tr_fused)
-                == dataclasses.asdict(oracle.trace)):
+        if fused_agrees(y_fused, tr_fused, oracle.y, oracle.trace):
             ybuf.data[:] = y_fused
             return None
         self._demote("verify-failed",
@@ -356,13 +387,55 @@ class CrsdSpMV(GPUSpMV):
         self._fused_incident_pending = None
         if not trace:
             oracle = SpMVRun(y=oracle.y,
-                             trace=_minimal_trace(oracle.trace),
+                             trace=minimal_trace(oracle.trace),
                              resilience=oracle.resilience)
         return oracle
 
 
-def _minimal_trace(full):
-    """An untraced-run view of a full trace (launch geometry only)."""
+def run_fused_launch(state, local_size: int, dia_val, sval, xbuf, ybuf,
+                     trace: bool):
+    """One launch of a fused kernel over its bound device buffers.
+
+    Fires the fault-injection launch hooks around the kernel and
+    records the ``crsd_fused_kernel`` obs kernel; returns the run's
+    :class:`~repro.ocl.trace.KernelTrace`.  ``sval`` is the scatter
+    value buffer, or ``None`` for a (shard) plan without scatter rows.
+    Shared by the whole-matrix and the sharded runners.
+    """
+    sess = _obs.ACTIVE
+    t0 = _obs.perf_counter() if sess is not None else 0.0
+    if _flt.ACTIVE is not None:
+        _flt.ACTIVE.on_launch(FUSED_KERNEL_NAME)
+    state.kernel(dia_val.data,
+                 sval.data if sval is not None
+                 else np.empty(0, dtype=dia_val.data.dtype),
+                 xbuf.data, ybuf.data)
+    if _flt.ACTIVE is not None:
+        _flt.ACTIVE.on_launch_exit(
+            FUSED_KERNEL_NAME,
+            tuple(b for b in (dia_val, sval, xbuf, ybuf) if b is not None))
+    tr = state.run_trace(trace)
+    if sess is not None:
+        sess.record_kernel(
+            FUSED_KERNEL_NAME, work_groups=state.work_groups,
+            local_size=local_size, executor="fused",
+            wall_s=_obs.perf_counter() - t0,
+            trace=tr if trace else None)
+    return tr
+
+
+def fused_agrees(y_fused, tr_fused, y_oracle, tr_oracle) -> bool:
+    """Whether a fused result and trace equal the batched oracle's,
+    bit for bit and counter for counter."""
+    return (np.array_equal(y_fused, y_oracle)
+            and dataclasses.asdict(tr_fused)
+            == dataclasses.asdict(tr_oracle))
+
+
+def minimal_trace(full):
+    """An untraced-run view of a full trace (launch geometry only):
+    what an oracle run made for verification returns when the caller
+    did not ask for a trace."""
     from repro.ocl.trace import KernelTrace
 
     return KernelTrace(work_groups=full.work_groups,
@@ -404,7 +477,6 @@ class CrsdSpMM(CrsdSpMV):
         if template is not None and self._template_compatible(
                 template, self.nvec):
             self.plan = template.plan
-            self.kernel = template.kernel
         else:
             template = None
             self.plan = build_plan(
@@ -414,8 +486,7 @@ class CrsdSpMM(CrsdSpMV):
                 use_local_memory=True if use_local_memory is None else use_local_memory,
                 nvec=self.nvec,
             )
-            self.kernel = generate_python_kernel(self.plan, strict=strict)
-        self._init_fused(template)
+        self._init_kernels(template, strict)
 
     def run(self, x: np.ndarray, trace: bool = True) -> SpMVRun:
         """Compute ``Y = A @ X`` for ``X`` of shape ``(ncols, nvec)``."""

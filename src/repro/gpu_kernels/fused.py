@@ -1,12 +1,13 @@
 """Analyzer-certified fused execution of CRSD launches.
 
-The third execution engine (``REPRO_EXECUTOR=fused``) runs a whole
-CrsdSpMV/CrsdSpMM launch as a handful of whole-matrix NumPy
-expressions — one strided multiply-accumulate per diagonal of the dia
-phase, one gather-multiply per ELL column of the scatter phase —
-instead of simulating the kernel per work-group or per grid statement.
-That is only sound when the launch is *proven* well-behaved, so entry
-is gated on the PR 2 analyzer:
+The default execution engine for CRSD runners (``REPRO_EXECUTOR=fused``)
+runs a whole CrsdSpMV/CrsdSpMM launch, or one shard's launches, as a
+handful of whole-matrix NumPy expressions — one strided
+multiply-accumulate per diagonal of the dia phase, one gather-multiply
+per ELL column of the scatter phase — instead of simulating the kernel
+per work-group or per grid statement.  That is only sound when the
+launch is *proven* well-behaved, so entry is gated on the static
+analyzer:
 
 - :func:`~repro.analyze.bounds.check_bounds` — every baked index
   in-range, so the fused expressions can drop the per-lane guards;
@@ -17,8 +18,9 @@ is gated on the PR 2 analyzer:
   y write-sets disjoint (and scatter rows pairwise distinct), so the
   whole launch can store with one vectorised assignment.
 
-When certification fails the caller silently falls back to the
-``batched`` engine; nothing here weakens correctness, it only removes
+When certification fails the caller falls back to the ``batched``
+engine and records a ``fused.uncertified`` event; nothing here weakens
+correctness, it only removes
 simulation overhead from launches the prover already understands.
 
 The :class:`KernelTrace` is not measured but *synthesized* by
@@ -84,6 +86,7 @@ def certify_plan(
     precision: str,
     scatter_colval: Optional[np.ndarray] = None,
     scatter_rowno: Optional[np.ndarray] = None,
+    dia_val_size: Optional[int] = None,
 ) -> FusedCertificate:
     """Run the bounds, local-memory and write-disjointness provers.
 
@@ -92,10 +95,13 @@ def certify_plan(
     once.  Certification never raises for an *unprovable* plan — it
     returns ``ok=False`` with the reasons — but a prover crash
     propagates (the runner files an incident for that case).
+    ``dia_val_size`` is the size of the bound ``dia_val`` buffer (see
+    :func:`~repro.analyze.model.build_model`).
     """
     model = build_model(plan, precision=precision,
                         scatter_colval=scatter_colval,
-                        scatter_rowno=scatter_rowno)
+                        scatter_rowno=scatter_rowno,
+                        dia_val_size=dia_val_size)
     report = AnalysisReport(plan=plan)
     check_bounds(model, report)
     check_localmem(model, report, device)
@@ -268,6 +274,7 @@ def build_fused_state(
     precision: str,
     scatter_colval: Optional[np.ndarray] = None,
     scatter_rowno: Optional[np.ndarray] = None,
+    dia_val_size: Optional[int] = None,
 ) -> Tuple[Optional[FusedState], FusedCertificate]:
     """Certify ``plan`` and build the fused execution state.
 
@@ -276,7 +283,8 @@ def build_fused_state(
     """
     cert = certify_plan(plan, device, precision,
                         scatter_colval=scatter_colval,
-                        scatter_rowno=scatter_rowno)
+                        scatter_rowno=scatter_rowno,
+                        dia_val_size=dia_val_size)
     if not cert.ok:
         return None, cert
     kernel = FusedKernel(plan, scatter_colval=scatter_colval,

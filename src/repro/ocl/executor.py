@@ -23,8 +23,10 @@ Two execution engines are provided:
   per-group-ordered segment stream via a deferred replay.
 
 :func:`executor_mode` selects the engine runners use (environment
-variable ``REPRO_EXECUTOR``; the per-group path stays available as the
-oracle behind ``REPRO_EXECUTOR=pergroup``).
+variable ``REPRO_EXECUTOR``; CRSD runners default to the fused engine
+of :mod:`repro.gpu_kernels.fused` and fall back to :func:`launch_batched`,
+and the per-group path stays available as the oracle behind
+``REPRO_EXECUTOR=pergroup``).
 
 Divergence accounting: lockstep lanes that idle while their wavefront
 executes (branchy code, variable loop trip counts) waste issue slots.
@@ -74,14 +76,17 @@ def executor_mode() -> str:
     """The selected execution engine, from the ``REPRO_EXECUTOR``
     environment variable:
 
-    - ``"batched"`` (default) — each kernel as one vectorised
-      invocation over the ``(num_groups, local_size)`` grid;
-    - ``"pergroup"`` — the sequential per-work-group reference oracle;
-    - ``"fused"`` — analyzer-certified whole-matrix execution
-      (CRSD runners only; see :mod:`repro.gpu_kernels.fused`).
-      Runners without a fused path treat it as ``"batched"``.
+    - ``"fused"`` (default) — analyzer-certified whole-matrix
+      execution (CRSD runners, whole and sharded; see
+      :mod:`repro.gpu_kernels.fused`).  A plan the provers decline, or
+      a runner demoted after a fault, runs ``"batched"`` instead;
+      runners without a fused path (DIA/ELL/CSR/HYB, symmetric CRSD)
+      treat it as ``"batched"``;
+    - ``"batched"`` — each kernel as one vectorised invocation over the
+      ``(num_groups, local_size)`` grid;
+    - ``"pergroup"`` — the sequential per-work-group reference oracle.
     """
-    mode = os.environ.get(EXECUTOR_ENV, "batched").strip().lower()
+    mode = os.environ.get(EXECUTOR_ENV, "fused").strip().lower()
     if mode not in EXECUTOR_MODES:
         raise LaunchError(
             f"{EXECUTOR_ENV}={mode!r} is not a known executor mode; "

@@ -27,6 +27,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
 
+from repro.core.serialize import MatrixFingerprints, ingest
 from repro.obs import recorder as _obs
 from repro.ocl.device import DeviceSpec, TESLA_C2050
 
@@ -142,12 +143,9 @@ class PlanEntry:
     directly by callers.
     """
 
-    def __init__(self, fingerprint: str, coo,
-                 pattern_fingerprint: Optional[str] = None):
-        self.fingerprint = fingerprint
-        #: sparsity-structure hash shared by same-pattern matrices
-        #: (see :func:`repro.core.serialize.pattern_fingerprint`)
-        self.pattern_fingerprint = pattern_fingerprint
+    def __init__(self, coo, fingerprints: MatrixFingerprints):
+        #: the three content hashes computed once at ingest
+        self.fingerprints = fingerprints
         self.coo = coo
         #: mrows -> CRSDMatrix
         self._crsd: Dict[int, Any] = {}
@@ -157,6 +155,17 @@ class PlanEntry:
         self._tunes: Dict[Tuple, Any] = {}
         #: memoised auto_format decisions
         self._formats: Dict[Tuple, str] = {}
+
+    @property
+    def fingerprint(self) -> str:
+        """The combined fingerprint (this entry's cache key)."""
+        return self.fingerprints.combined
+
+    @property
+    def pattern_fingerprint(self) -> str:
+        """Sparsity-structure hash shared by same-pattern matrices
+        (see :func:`repro.core.serialize.pattern_fingerprint`)."""
+        return self.fingerprints.pattern
 
     @property
     def num_runners(self) -> int:
@@ -218,25 +227,24 @@ class PlanCache:
         if self._private_store:
             self.cert_store.clear()
 
-    def entry(self, matrix) -> PlanEntry:
-        """The (possibly new) entry for ``matrix``, LRU-touched.
+    def entry(self, coo, fingerprints: MatrixFingerprints) -> PlanEntry:
+        """The (possibly new) entry for an ingested matrix, LRU-touched.
 
-        Entry creation itself is not counted as a hit or miss — only
-        prepared-artifact lookups (:meth:`runner`, :meth:`tune`,
-        :meth:`auto_format`) move the counters.
+        ``coo`` and ``fingerprints`` are the canonical COO form and the
+        content hashes :func:`repro.core.serialize.ingest` returned for
+        the matrix; nothing is hashed here.  Entry creation itself is
+        not counted as a hit or miss — only prepared-artifact lookups
+        (:meth:`runner`, :meth:`tune`, :meth:`auto_format`) move the
+        counters.
         """
-        from repro.api import _as_coo
-        from repro.core.serialize import fingerprints as _fingerprints
-
-        fps = _fingerprints(matrix)
-        entry = self._entries.get(fps.combined)
+        key = fingerprints.combined
+        entry = self._entries.get(key)
         if entry is None:
-            entry = PlanEntry(fps.combined, _as_coo(matrix),
-                              pattern_fingerprint=fps.pattern)
-            self._entries[fps.combined] = entry
+            entry = PlanEntry(coo, fingerprints)
+            self._entries[key] = entry
             self._evict_over_capacity()
         else:
-            self._entries.move_to_end(fps.combined)
+            self._entries.move_to_end(key)
         return entry
 
     def _evict_over_capacity(self) -> None:
@@ -282,7 +290,7 @@ class PlanCache:
         """
         from repro.core.crsd import CRSDMatrix
 
-        entry = self.entry(matrix)
+        entry = self.entry(*ingest(matrix))
         if isinstance(matrix, CRSDMatrix) and matrix.mrows == int(mrows):
             entry._crsd.setdefault(int(mrows), matrix)
         return self.runner_for(
@@ -321,8 +329,7 @@ class PlanCache:
         # structure but different values already prepared this runner
         # configuration — adopt its plan, codelets and fused state
         pkey = (entry.pattern_fingerprint, key)
-        template = (self._pattern_runners.get(pkey)
-                    if entry.pattern_fingerprint is not None else None)
+        template = self._pattern_runners.get(pkey)
         if nvec is None:
             runner = CrsdSpMV(crsd, device=device, precision=precision,
                               use_local_memory=use_local_memory,
@@ -337,8 +344,7 @@ class PlanCache:
                         pattern=entry.pattern_fingerprint, nvec=nvec)
         runner.prepare()
         entry._runners[key] = runner
-        if entry.pattern_fingerprint is not None:
-            self._pattern_runners[pkey] = runner
+        self._pattern_runners[pkey] = runner
         return runner
 
     def shard_certificate(
@@ -368,7 +374,7 @@ class PlanCache:
         cached too: re-asking cannot make an unprovable plan provable.
         """
         return self.shard_certificate_for(
-            self.entry(matrix), num_shards, device=device,
+            self.entry(*ingest(matrix)), num_shards, device=device,
             precision=precision, mrows=mrows,
             use_local_memory=use_local_memory, boundaries=boundaries)
 
@@ -483,7 +489,7 @@ class PlanCache:
         """
         from repro.core.autotune import tune as _tune
 
-        entry = self.entry(matrix)
+        entry = self.entry(*ingest(matrix))
         key = tuple(sorted(
             (k, tuple(v) if isinstance(v, (list, tuple)) else v)
             for k, v in kwargs.items()))
@@ -502,7 +508,7 @@ class PlanCache:
         """Memoised :func:`repro.api.auto_format` decision."""
         from repro.api import _auto_format_impl as _auto_format
 
-        entry = self.entry(matrix)
+        entry = self.entry(*ingest(matrix))
         key = (device, precision, int(mrows))
         fmt = entry._formats.get(key)
         if fmt is not None:

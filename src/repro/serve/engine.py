@@ -43,6 +43,7 @@ from typing import (
 
 import numpy as np
 
+from repro.core.serialize import as_ingested
 from repro.obs.recorder import maybe_span
 from repro.ocl.device import DeviceSpec, TESLA_C2050
 from repro.perf.costmodel import predict_gpu_time
@@ -218,12 +219,19 @@ class ServeEngine:
         :class:`repro.resilience.Policy` or ``True``) routes this
         request through the degradation ladder, unbatched.  Admission
         control is applied at the arrival instant, inside :meth:`run`.
+
+        The matrix is ingested once here
+        (:func:`repro.core.serialize.ingest`), which freezes a sparse
+        carrier's arrays.  ``matrix`` may instead be the
+        :class:`~repro.core.serialize.Ingested` value ``ingest``
+        returned for it (the cluster front end ingests each request
+        once and hands that on); then nothing is hashed again.
         """
         from repro.resilience.policy import Policy
         from repro.validation import validate_vector
 
         self._require_alive()
-        entry = self.cache.entry(matrix)
+        entry = self.cache.entry(*as_ingested(matrix))
         x = np.ascontiguousarray(
             validate_vector(x, entry.coo.ncols), dtype=np.float64)
         arrival = self.clock.now if at is None else max(float(at),
@@ -264,11 +272,13 @@ class ServeEngine:
         carries the partial ``y`` rows plus ``parent_id`` so the
         cluster can reassemble.  Shard sub-requests are pre-admitted
         (the router admitted the parent once) and never batched.
+        Like :meth:`submit`, ``matrix`` may be the parent request's
+        :class:`~repro.core.serialize.Ingested` value.
         """
         from repro.validation import validate_vector
 
         self._require_alive()
-        entry = self.cache.entry(matrix)
+        entry = self.cache.entry(*as_ingested(matrix))
         x = np.ascontiguousarray(
             validate_vector(x, entry.coo.ncols), dtype=np.float64)
         arrival = self.clock.now if at is None else max(float(at),
@@ -526,7 +536,8 @@ class ServeEngine:
         spec = runner.shard_plan.shards[req.shard_index]
         y_part = run.y[spec.row_start:spec.row_end].copy()
         drained.append(self._served(
-            req, now, finish, batch_size=1, batched=False, y=y_part))
+            req, now, finish, batch_size=1, batched=False, y=y_part,
+            resilience=run.resilience))
         return finish
 
     def _execute_resilient(self, req: Request, now: float,

@@ -11,6 +11,7 @@ from repro.bench.runner import (
     run_gpu_suite,
     trajectory_entry,
 )
+from repro.ocl.executor import executor_mode
 
 
 @pytest.fixture(scope="module")
@@ -23,7 +24,7 @@ class TestTrajectoryEntry:
         entry = trajectory_entry(suite_result)
         assert entry["schema"] == TRAJECTORY_SCHEMA
         assert entry["precision"] == "double"
-        assert entry["executor"] in ("batched", "pergroup")
+        assert entry["executor"] == executor_mode()
         assert entry["scale"] == 0.01
         # ISO-8601 UTC timestamp
         assert entry["timestamp"].endswith("Z")

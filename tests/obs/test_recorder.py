@@ -129,7 +129,8 @@ class TestZeroCostDisabled:
         run = runner.run(rng.standard_normal(coo.ncols))
         assert run.y.shape == (coo.nrows,)
 
-    def test_enabled_path_records_kernels(self):
+    @staticmethod
+    def _recorded_kernels():
         rng = np.random.default_rng(0)
         coo = random_diagonal_matrix(rng, n=96)
         runner = CrsdSpMV(CRSDMatrix.from_coo(coo, mrows=32))
@@ -139,10 +140,22 @@ class TestZeroCostDisabled:
         kernels = sess.by_category("kernel")
         assert kernels, "kernel launches must be recorded when observing"
         for k in kernels:
-            assert k.attrs["executor"] in ("batched", "pergroup")
             assert k.attrs["work_groups"] > 0
             assert k.attrs["trace"]["flops"] > 0
         # kernel spans nest under the crsd.spmv op span
         op = [s for s in sess.spans if s.name == "crsd.spmv"]
         assert len(op) == 1
         assert all(k.parent == op[0].id for k in kernels)
+        return kernels
+
+    def test_enabled_path_records_kernels(self, monkeypatch):
+        """Under the default engine a certified CRSD run records its
+        one fused launch."""
+        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+        kernels = self._recorded_kernels()
+        assert [k.attrs["executor"] for k in kernels] == ["fused"]
+
+    def test_enabled_path_records_kernels_batched(self, monkeypatch):
+        monkeypatch.setenv("REPRO_EXECUTOR", "batched")
+        for k in self._recorded_kernels():
+            assert k.attrs["executor"] in ("batched", "pergroup")

@@ -231,9 +231,9 @@ class TestLaunchCacheSharing:
 
 
 class TestExecutorMode:
-    def test_default_is_batched(self, monkeypatch):
+    def test_default_is_fused(self, monkeypatch):
         monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-        assert executor_mode() == "batched"
+        assert executor_mode() == "fused"
 
     def test_explicit_modes(self, monkeypatch):
         for mode in ("batched", "pergroup"):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core.serialize import fingerprint
+from repro.core.serialize import fingerprint, ingest
 from repro.serve.cache import PlanCache, default_cache, reset_default_cache
 from tests.conftest import random_diagonal_matrix
 
@@ -156,7 +156,7 @@ class TestLRU:
         ms = matrices(3, size=48)
         cache = PlanCache(capacity=2)
         for m in ms:
-            cache.entry(m)
+            cache.entry(*ingest(m))
         assert len(cache) == 2
         assert cache.stats.evictions == 1
         assert fingerprint(ms[0]) not in cache
@@ -165,10 +165,10 @@ class TestLRU:
     def test_touch_refreshes_recency(self):
         ms = matrices(3, size=48)
         cache = PlanCache(capacity=2)
-        cache.entry(ms[0])
-        cache.entry(ms[1])
-        cache.entry(ms[0])          # ms[0] now most recent
-        cache.entry(ms[2])          # evicts ms[1]
+        cache.entry(*ingest(ms[0]))
+        cache.entry(*ingest(ms[1]))
+        cache.entry(*ingest(ms[0]))  # ms[0] now most recent
+        cache.entry(*ingest(ms[2]))  # evicts ms[1]
         assert fingerprint(ms[0]) in cache
         assert fingerprint(ms[1]) not in cache
 
@@ -245,7 +245,8 @@ class TestObsIntegration:
         with repro.observe() as sess:
             cache.runner(coo, mrows=32)
             cache.runner(coo, mrows=32)
-            cache.entry(matrices(1, size=48)[0])  # evicts coo's entry
+            # evicts coo's entry
+            cache.entry(*ingest(matrices(1, size=48)[0]))
         names = [s.name for s in sess.spans]
         assert "plan_cache.miss.runner" in names
         assert "plan_cache.hit.runner" in names

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.core.serialize import ingest
 from repro.formats.coo import COOMatrix
 from repro.serve.cache import PlanCache, reset_default_cache
 from tests.conftest import random_diagonal_matrix
@@ -97,7 +98,7 @@ class TestMemoisation:
 
         cache = PlanCache()
         cert = cache.shard_certificate(coo, 2, mrows=32)
-        crsd = cache.entry(coo)._crsd[32]
+        crsd = cache.entry(*ingest(coo))._crsd[32]
         assert isinstance(crsd, CRSDMatrix)
         x = np.random.default_rng(0).standard_normal(coo.ncols)
         run = ShardedSpMV(crsd, cert).run(x)
@@ -109,7 +110,7 @@ class TestEviction:
         a, b = matrices(2)
         cache = PlanCache(capacity=1)
         cache.shard_certificate(a, 2, mrows=32)
-        cache.entry(b)  # evicts a's entry -> a's pattern is gone
+        cache.entry(*ingest(b))  # evicts a's entry -> a's pattern is gone
         cache.shard_certificate(a, 2, mrows=32)
         assert cache.stats.misses == 2 and cache.stats.hits == 0
 
@@ -119,7 +120,8 @@ class TestEviction:
         # the revalued twin shares the pattern; inserting it must not
         # orphan the certificate even as other entries churn
         cache.shard_certificate(revalued(coo), 2, mrows=32)
-        cache.entry(matrices(1, size=48)[0])  # evicts the LRU entry
+        # evicts the LRU entry
+        cache.entry(*ingest(matrices(1, size=48)[0]))
         cache.shard_certificate(revalued(coo, 3.0), 2, mrows=32)
         assert cache.stats.hits == 2
 
