@@ -16,6 +16,13 @@ Two variants, matching the 2009 paper:
 The public alias ``CsrSpMV`` used in the figures is CSR-vector, the
 stronger of the two for these matrices — matching Bell & Garland's
 reported CSR numbers.
+
+Both kernels are shape-generic (see dia.py) and run through
+:func:`~repro.ocl.executor.launch_grid`: batched in bounded group
+chunks by default, per group under ``REPRO_EXECUTOR=pergroup``.  Loops
+run to the longest row of the whole chunk; groups whose rows are
+already done mask every lane, which issues no traffic and adds only
+zeros, so ``y`` and the trace match the per-group oracle bit for bit.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ import numpy as np
 
 from repro.formats.csr import CSRMatrix
 from repro.gpu_kernels.base import GPUSpMV, SpMVRun
-from repro.ocl.executor import launch
+from repro.ocl.executor import launch_grid
 
 
 class _CsrBase(GPUSpMV):
@@ -59,7 +66,6 @@ class CsrScalarSpMV(_CsrBase):
         try:
             nrows = self.nrows
             local_size = self.local_size
-            host_indptr = self.matrix.indptr.astype(np.int64)
             indptr, indices, data, ybuf = (
                 self._indptr, self._indices, self._data, self._y,
             )
@@ -72,7 +78,7 @@ class CsrScalarSpMV(_CsrBase):
                 end = ctx.gload(ptrb, safe_rows + 1, mask=in_rows).astype(np.int64)
                 lens = np.where(in_rows, end - start, 0)
                 ctx.loop_trips(lens)
-                acc = np.zeros(local_size, dtype=x.dtype)
+                acc = np.zeros(rows.shape, dtype=x.dtype)
                 kmax = int(lens.max()) if lens.size else 0
                 for k in range(kmax):
                     m = k < lens
@@ -84,8 +90,9 @@ class CsrScalarSpMV(_CsrBase):
                     ctx.flops(2 * int(m.sum()))
                 ctx.gstore(yb, safe_rows, acc, mask=in_rows)
 
-            tr = launch(kernel, self.groups_for_rows(nrows), local_size,
-                        (indptr, indices, data, xbuf, ybuf), self.device, trace)
+            tr = launch_grid(kernel, self.groups_for_rows(nrows), local_size,
+                             (indptr, indices, data, xbuf, ybuf), self.device,
+                             trace)
             return SpMVRun(y=ybuf.to_host().copy(), trace=tr)
         finally:
             self.context.free(xbuf)
@@ -117,13 +124,15 @@ class CsrVectorSpMV(_CsrBase):
                 safe_rows = np.clip(rows, 0, nrows - 1)
                 start = ctx.gload(ptrb, safe_rows, mask=in_rows & (lane == 0))
                 end = ctx.gload(ptrb, safe_rows + 1, mask=in_rows & (lane == 0))
-                # broadcast row bounds across the wavefront (register shuffle)
-                start = np.repeat(start[lane == 0].astype(np.int64), w)
-                end = np.repeat(end[lane == 0].astype(np.int64), w)
+                # broadcast row bounds from each wavefront's lane 0
+                # across the wavefront (register shuffle)
+                head = ctx.lid - lane
+                start = start[..., head].astype(np.int64)
+                end = end[..., head].astype(np.int64)
                 lens = end - start
                 steps = -(-lens // w)  # per-lane trips = ceil(len/w)
                 ctx.loop_trips(np.where(in_rows, steps, 0))
-                acc = np.zeros(local_size, dtype=x.dtype)
+                acc = np.zeros(rows.shape, dtype=x.dtype)
                 kmax = int(steps.max()) if steps.size else 0
                 for k in range(kmax):
                     pos = start + k * w + lane
@@ -138,16 +147,18 @@ class CsrVectorSpMV(_CsrBase):
                 ctx.lstore(lmem, ctx.lid, acc)
                 stride = w // 2
                 while stride >= 1:
-                    partner = ctx.lload(lmem, ctx.lid + stride, mask=lane < stride)
-                    mine = ctx.lload(lmem, ctx.lid, mask=lane < stride)
-                    ctx.lstore(lmem, ctx.lid, mine + partner, mask=lane < stride)
-                    ctx.flops(int((lane < stride).sum()))
+                    active = np.broadcast_to(lane < stride, rows.shape)
+                    partner = ctx.lload(lmem, ctx.lid + stride, mask=active)
+                    mine = ctx.lload(lmem, ctx.lid, mask=active)
+                    ctx.lstore(lmem, ctx.lid, mine + partner, mask=active)
+                    ctx.flops(int(active.sum()))
                     stride //= 2
                 total = ctx.lload(lmem, ctx.lid, mask=lane == 0)
                 ctx.gstore(yb, safe_rows, total, mask=in_rows & (lane == 0))
 
-            tr = launch(kernel, num_groups, local_size,
-                        (indptr, indices, data, xbuf, ybuf), self.device, trace)
+            tr = launch_grid(kernel, num_groups, local_size,
+                             (indptr, indices, data, xbuf, ybuf), self.device,
+                             trace)
             return SpMVRun(y=ybuf.to_host().copy(), trace=tr)
         finally:
             self.context.free(xbuf)

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.formats.dia import DIAMatrix
 from repro.gpu_kernels.base import GPUSpMV, SpMVRun
-from repro.ocl.executor import executor_mode, launch, launch_batched
+from repro.ocl.executor import launch_grid
 
 
 class DiaSpMV(GPUSpMV):
@@ -69,11 +69,8 @@ class DiaSpMV(GPUSpMV):
                     ctx.flops(2 * int(m.sum()))
                 ctx.gstore(yb, np.clip(rows, 0, nrows - 1), acc, mask=in_rows)
 
-            # no fused path for DIA: anything but the per-group oracle
-            # runs through the batched engine
-            do_launch = launch if executor_mode() == "pergroup" else launch_batched
-            tr = do_launch(kernel, self.groups_for_rows(nrows), local_size,
-                           (data, offsets, xbuf, ybuf), self.device, trace)
+            tr = launch_grid(kernel, self.groups_for_rows(nrows), local_size,
+                             (data, offsets, xbuf, ybuf), self.device, trace)
             return SpMVRun(y=ybuf.to_host().copy(), trace=tr)
         finally:
             # x is transient per run; release its accounting share

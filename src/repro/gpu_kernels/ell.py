@@ -8,11 +8,38 @@ scales with the padded width K rather than nnz.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from repro.formats.ell import ELLMatrix
 from repro.gpu_kernels.base import GPUSpMV, SpMVRun
-from repro.ocl.executor import executor_mode, launch, launch_batched
+from repro.ocl.executor import launch_grid
+
+
+def ell_kernel(nrows: int, width: int, local_size: int, dtype,
+               name: str = "kernel") -> Callable:
+    """The ELL kernel over a column-major ``nrows`` x ``width`` slab
+    (``idxb``/``datab``), named ``name``; HYB runs it on its slab.
+
+    Shape-generic over both engines (see dia.py).
+    """
+    def kernel(ctx, idxb, datab, xb, yb):
+        rows = ctx.group_id * local_size + ctx.lid
+        in_rows = rows < nrows
+        acc = np.zeros(rows.shape, dtype=dtype)
+        safe_rows = np.clip(rows, 0, nrows - 1)
+        for k in range(width):
+            v = ctx.gload(datab, k * nrows + safe_rows, mask=in_rows)
+            col = ctx.gload(idxb, k * nrows + safe_rows, mask=in_rows)
+            # B&G compute unconditionally; padded slots hold v == 0
+            xv = ctx.gload(xb, col, mask=in_rows)
+            acc += v * xv
+            ctx.flops(2 * int(in_rows.sum()))
+        ctx.gstore(yb, safe_rows, acc, mask=in_rows)
+
+    kernel.__name__ = name
+    return kernel
 
 
 class EllSpMV(GPUSpMV):
@@ -46,30 +73,12 @@ class EllSpMV(GPUSpMV):
         xbuf = self.context.alloc(x, "x")
         try:
             nrows = self.nrows
-            width = self.matrix.width
-            local_size = self.local_size
-            indices, data, ybuf = self._indices, self._data, self._y
-
-            # shape-generic over both engines (see dia.py)
-            def kernel(ctx, idxb, datab, xb, yb):
-                rows = ctx.group_id * local_size + ctx.lid
-                in_rows = rows < nrows
-                acc = np.zeros(rows.shape, dtype=x.dtype)
-                safe_rows = np.clip(rows, 0, nrows - 1)
-                for k in range(width):
-                    v = ctx.gload(datab, k * nrows + safe_rows, mask=in_rows)
-                    col = ctx.gload(idxb, k * nrows + safe_rows, mask=in_rows)
-                    # B&G compute unconditionally; padded slots hold v == 0
-                    xv = ctx.gload(xb, col, mask=in_rows)
-                    acc += v * xv
-                    ctx.flops(2 * int(in_rows.sum()))
-                ctx.gstore(yb, safe_rows, acc, mask=in_rows)
-
-            # no fused path for ELL: anything but the per-group oracle
-            # runs through the batched engine
-            do_launch = launch if executor_mode() == "pergroup" else launch_batched
-            tr = do_launch(kernel, self.groups_for_rows(nrows), local_size,
-                           (indices, data, xbuf, ybuf), self.device, trace)
-            return SpMVRun(y=ybuf.to_host().copy(), trace=tr)
+            kernel = ell_kernel(nrows, self.matrix.width, self.local_size,
+                                self.dtype)
+            tr = launch_grid(kernel, self.groups_for_rows(nrows),
+                             self.local_size,
+                             (self._indices, self._data, xbuf, self._y),
+                             self.device, trace)
+            return SpMVRun(y=self._y.to_host().copy(), trace=tr)
         finally:
             self.context.free(xbuf)

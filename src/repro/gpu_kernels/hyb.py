@@ -1,6 +1,11 @@
 """HYB kernel: the ELL slab kernel followed by the COO tail kernel.
 
-Both kernels accumulate into the same device ``y``; traces are merged.
+Both are the kernels of :mod:`repro.gpu_kernels.ell` and
+:mod:`repro.gpu_kernels.coo`, launched as ``ell_kernel`` and
+``coo_kernel``.  The slab runs through
+:func:`~repro.ocl.executor.launch_grid` (batched by default); the tail
+stays on the per-group engine, as standalone COO does (see coo.py).
+Both accumulate into the same device ``y``; traces are merged.
 """
 
 from __future__ import annotations
@@ -9,7 +14,9 @@ import numpy as np
 
 from repro.formats.hyb import HYBMatrix
 from repro.gpu_kernels.base import GPUSpMV, SpMVRun
-from repro.ocl.executor import launch
+from repro.gpu_kernels.coo import coo_kernel
+from repro.gpu_kernels.ell import ell_kernel
+from repro.ocl.executor import launch, launch_grid
 
 
 class HybSpMV(GPUSpMV):
@@ -48,48 +55,23 @@ class HybSpMV(GPUSpMV):
         xbuf = self.context.alloc(x, "x")
         try:
             nrows = self.nrows
-            width = self.matrix.ell.width
             local_size = self.local_size
             ybuf = self._y
             ybuf.data[:] = 0
-            idxb, datab = self._ell_indices, self._ell_data
-
-            def ell_kernel(ctx, idxb, datab, xb, yb):
-                rows = ctx.group_id * local_size + ctx.lid
-                in_rows = rows < nrows
-                safe_rows = np.clip(rows, 0, nrows - 1)
-                acc = np.zeros(local_size, dtype=x.dtype)
-                for k in range(width):
-                    v = ctx.gload(datab, k * nrows + safe_rows, mask=in_rows)
-                    col = ctx.gload(idxb, k * nrows + safe_rows, mask=in_rows)
-                    xv = ctx.gload(xb, col, mask=in_rows)
-                    acc += v * xv
-                    ctx.flops(2 * int(in_rows.sum()))
-                ctx.gstore(yb, safe_rows, acc, mask=in_rows)
-
-            tr = launch(ell_kernel, self.groups_for_rows(nrows), local_size,
-                        (idxb, datab, xbuf, ybuf), self.device, trace)
+            slab = ell_kernel(nrows, self.matrix.ell.width, local_size,
+                              self.dtype, name="ell_kernel")
+            tr = launch_grid(slab, self.groups_for_rows(nrows), local_size,
+                             (self._ell_indices, self._ell_data, xbuf, ybuf),
+                             self.device, trace)
 
             nnz_tail = self.matrix.coo.nnz
             if nnz_tail:
-                rowsb, colsb, valsb = self._coo_rows, self._coo_cols, self._coo_vals
-
-                def coo_kernel(ctx, rb, cb, vb, xb, yb):
-                    pos = ctx.group_id * local_size + ctx.lid
-                    m = pos < nnz_tail
-                    safe = np.clip(pos, 0, nnz_tail - 1)
-                    r = ctx.gload(rb, safe, mask=m)
-                    c = ctx.gload(cb, safe, mask=m)
-                    v = ctx.gload(vb, safe, mask=m)
-                    xv = ctx.gload(xb, c, mask=m)
-                    prod = np.where(m, v * xv, 0)
-                    ctx.flops(2 * int(m.sum()))
-                    if m.any():
-                        ctx.gatomic_add(yb, r[m].astype(np.int64), prod[m])
-
-                tr2 = launch(coo_kernel, -(-nnz_tail // local_size), local_size,
-                             (rowsb, colsb, valsb, xbuf, ybuf), self.device, trace)
-                tr.merge(tr2)
+                tail = coo_kernel(nnz_tail, local_size, name="coo_kernel")
+                tr.merge(launch(tail, -(-nnz_tail // local_size),
+                                local_size,
+                                (self._coo_rows, self._coo_cols,
+                                 self._coo_vals, xbuf, ybuf),
+                                self.device, trace))
             return SpMVRun(y=ybuf.to_host().copy(), trace=tr)
         finally:
             self.context.free(xbuf)

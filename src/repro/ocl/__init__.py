@@ -22,15 +22,19 @@ is recorded into a :class:`~repro.ocl.trace.KernelTrace` that the
 performance model (:mod:`repro.perf`) converts into time.
 """
 
-from repro.ocl.device import DeviceSpec, TESLA_C2050
+from repro.ocl.device import AMD_CYPRESS, GTX_285, DeviceSpec, TESLA_C2050
 from repro.ocl.errors import DeviceMemoryError, LocalMemoryError, LaunchError
 from repro.ocl.memory import Buffer, LocalBuffer, MemSpace
 from repro.ocl.trace import KernelTrace
-from repro.ocl.executor import Context, WorkGroupCtx, launch
+from repro.ocl.executor import (
+    Context, WorkGroupCtx, launch, launch_batched, launch_grid,
+)
 
 __all__ = [
     "DeviceSpec",
     "TESLA_C2050",
+    "AMD_CYPRESS",
+    "GTX_285",
     "DeviceMemoryError",
     "LocalMemoryError",
     "LaunchError",
@@ -41,4 +45,6 @@ __all__ = [
     "Context",
     "WorkGroupCtx",
     "launch",
+    "launch_batched",
+    "launch_grid",
 ]

@@ -26,7 +26,9 @@ Two execution engines are provided:
 variable ``REPRO_EXECUTOR``; CRSD runners default to the fused engine
 of :mod:`repro.gpu_kernels.fused` and fall back to :func:`launch_batched`,
 and the per-group path stays available as the oracle behind
-``REPRO_EXECUTOR=pergroup``).
+``REPRO_EXECUTOR=pergroup``).  :func:`launch_grid` makes that choice
+for kernels written to run under either engine (the Bell & Garland
+baselines), batching them in bounded group chunks.
 
 Divergence accounting: lockstep lanes that idle while their wavefront
 executes (branchy code, variable loop trip counts) waste issue slots.
@@ -37,6 +39,7 @@ execution path") simply never report, scoring efficiency 1.0.
 
 from __future__ import annotations
 
+import functools
 import os
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -70,6 +73,10 @@ EXECUTOR_ENV = "REPRO_EXECUTOR"
 
 #: recognised engine names
 EXECUTOR_MODES = ("batched", "pergroup", "fused")
+
+#: most lanes one :func:`launch_grid` chunk spans: bounds the
+#: ``(groups, lanes)`` arrays a batched kernel statement materialises
+BATCH_CHUNK_LANES = 1 << 15
 
 
 def executor_mode() -> str:
@@ -621,3 +628,37 @@ def launch_batched(
             trace=total if trace else None,
         )
     return total
+
+
+def launch_grid(
+    kernel: Callable,
+    num_groups: int,
+    local_size: int,
+    args: Sequence,
+    device: DeviceSpec = TESLA_C2050,
+    trace: bool = True,
+) -> KernelTrace:
+    """Run a shape-generic kernel on the selected engine.
+
+    The kernel must work both per group and over a lane grid (index
+    expressions built from ``ctx.group_id`` and ``ctx.lid``; arrays
+    shaped like them).  ``REPRO_EXECUTOR=pergroup`` runs it with
+    :func:`launch`; any other mode runs one :func:`launch_batched` over
+    consecutive chunks of at most :data:`BATCH_CHUNK_LANES` lanes, each
+    a :meth:`BatchCtx.sub` finalized before the next, so the L2 replay
+    stays group-major and ``y``/counters match :func:`launch`.  The
+    kernel's name (fault sites, spans) is kept.
+    """
+    if executor_mode() == "pergroup":
+        return launch(kernel, num_groups, local_size, args, device, trace)
+    step = max(1, BATCH_CHUNK_LANES // local_size)
+
+    @functools.wraps(kernel)
+    def chunked(ctx: BatchCtx, *bufs) -> None:
+        for lo in range(0, ctx.num_groups, step):
+            sub = ctx.sub(lo, min(lo + step, ctx.num_groups))
+            kernel(sub, *bufs)
+            sub.finalize()
+
+    return launch_batched(chunked, num_groups, local_size, args, device,
+                          trace)

@@ -12,16 +12,34 @@ import dataclasses
 import numpy as np
 import pytest
 
+import repro.ocl.executor as executor_mod
 from repro.bench.runner import bench_scale, effective_scale, scaled_device
 from repro.core.crsd import CRSDMatrix, compatible_wavefront
 from repro.formats.coo import COOMatrix
+from repro.formats.csr import CSRMatrix
 from repro.formats.dia import DIAMatrix
 from repro.formats.ell import ELLMatrix
+from repro.formats.hyb import HYBMatrix
 from repro.gpu_kernels.crsd_runner import CrsdSpMM, CrsdSpMV
+from repro.gpu_kernels.csr import CsrScalarSpMV, CsrVectorSpMV
 from repro.gpu_kernels.dia import DiaSpMV
 from repro.gpu_kernels.ell import EllSpMV
+from repro.gpu_kernels.hyb import HybSpMV
 from repro.matrices.suite23 import SUITE
+from repro.obs.recorder import observe
+from repro.ocl.errors import DeviceMemoryError
 from tests.conftest import random_diagonal_matrix
+
+#: the Bell & Garland baseline runners, built from a COO matrix
+BASELINES = {
+    "dia": lambda coo, **kw: DiaSpMV(DIAMatrix.from_coo(coo), **kw),
+    "ell": lambda coo, **kw: EllSpMV(ELLMatrix.from_coo(coo), **kw),
+    "csr_scalar": lambda coo, **kw: CsrScalarSpMV(CSRMatrix.from_coo(coo),
+                                                  **kw),
+    "csr_vector": lambda coo, **kw: CsrVectorSpMV(CSRMatrix.from_coo(coo),
+                                                  **kw),
+    "hyb": lambda coo, **kw: HybSpMV(HYBMatrix.from_coo(coo), **kw),
+}
 
 
 def run_both_modes(make_runner, x, monkeypatch, trace=True):
@@ -37,6 +55,31 @@ def assert_identical(pergroup, batched):
     assert np.array_equal(pergroup.y, batched.y)
     assert dataclasses.asdict(pergroup.trace) == dataclasses.asdict(
         batched.trace)
+
+
+def observed_run(make_runner, x, monkeypatch, mode):
+    """One run under ``mode`` (``None``: the default engine) and the
+    ``(name, executor)`` of every kernel it launched; a device that
+    cannot hold the format yields ``("oom", [])``."""
+    if mode is None:
+        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_EXECUTOR", mode)
+    with observe("launches") as sess:
+        try:
+            run = make_runner().run(x)
+        except DeviceMemoryError:
+            return "oom", []
+    return run, [(k.name, k.attrs["executor"])
+                 for k in sess.by_category("kernel")]
+
+
+def assert_same_run(a, b):
+    if isinstance(a, str) or isinstance(b, str):
+        assert a == b
+    else:
+        assert a.y.tobytes() == b.y.tobytes()
+        assert dataclasses.asdict(a.trace) == dataclasses.asdict(b.trace)
 
 
 def rectangular_coo(nrows, ncols, offsets, rng, scatter=2):
@@ -121,6 +164,105 @@ class TestDifferentialSuite23:
         p, b = run_both_modes(lambda: CrsdSpMV(crsd, device=dev),
                               x, monkeypatch)
         assert_identical(p, b)
+
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    @pytest.mark.parametrize("runner", sorted(BASELINES))
+    @pytest.mark.parametrize(
+        "spec", SUITE, ids=lambda s: f"{s.number:02d}-{s.name}")
+    def test_baseline(self, spec, runner, precision, monkeypatch):
+        """Each baseline gives the per-group ``y`` bytes and trace under
+        ``batched`` and the default engine, and the default engine runs
+        per group only HYB's COO tail.  Matrices are at a fifth of the
+        bench scale (the structure floors still hold): the per-group
+        oracle is the cost here."""
+        scale = effective_scale(spec, bench_scale() / 5)
+        coo = spec.generate(scale=scale, seed=0)
+        dev = scaled_device(scale)
+        x = np.random.default_rng(17).standard_normal(coo.ncols)
+
+        def make():
+            return BASELINES[runner](coo, device=dev, precision=precision)
+
+        ref, ref_kernels = observed_run(make, x, monkeypatch, "pergroup")
+        names = [k for k, _ in ref_kernels]
+        for mode in ("batched", None):
+            run, kernels = observed_run(make, x, monkeypatch, mode)
+            assert_same_run(ref, run)
+            assert [k for k, _ in kernels] == names
+        # ``kernels`` is now the default engine's launches
+        tails = {"coo_kernel"} if runner == "hyb" else set()
+        assert {k for k, engine in kernels if engine == "pergroup"} <= tails
+
+
+def _band(n, offsets=(-1, 0, 1)):
+    rows = np.concatenate([np.arange(max(0, -o), min(n, n - o))
+                           for o in offsets])
+    cols = np.concatenate([np.arange(max(0, o), min(n, n + o))
+                           for o in offsets])
+    return rows, cols
+
+
+def _coo(rows, cols, shape, seed=3):
+    vals = np.random.default_rng(seed).uniform(0.5, 1.5, len(rows))
+    return COOMatrix(np.asarray(rows), np.asarray(cols), vals, shape)
+
+
+def _long_row_matrix(n=300, row=133, length=100):
+    """A tridiagonal band plus one row longer than 2x the wavefront."""
+    rows, cols = _band(n)
+    extra = np.setdiff1d(np.arange(0, n, 2)[:length], [row - 1, row, row + 1])
+    return _coo(np.concatenate([rows, np.full(extra.size, row)]),
+                np.concatenate([cols, extra]), (n, n))
+
+
+def _empty_rows_matrix(n=260):
+    """Every third row and the last 40 rows hold no entry."""
+    rows, cols = _band(n, (-2, 0, 3))
+    keep = (rows % 3 != 1) & (rows < n - 40)
+    return _coo(rows[keep], cols[keep], (n, n))
+
+
+#: case -> (matrix, does HYB put a COO tail on it?)
+GRID_CASES = {
+    "long_row": (_long_row_matrix, True),
+    "empty_rows": (_empty_rows_matrix, False),
+    "ragged_rows": (lambda: _coo(*_band(301, (-4, 0, 2)), (301, 301)), False),
+    "one_by_one": (lambda: _coo([0], [0], (1, 1)), False),
+    "all_zero": (lambda: COOMatrix.empty((70, 70)), False),
+}
+
+
+class TestGridKernels:
+    """The shape-generic baseline kernels run by ``launch_grid``: in
+    chunks of a few groups, in one chunk and per group they agree."""
+
+    @pytest.mark.parametrize("chunk_lanes", [1, 384])
+    @pytest.mark.parametrize("runner", sorted(BASELINES))
+    @pytest.mark.parametrize("case", sorted(GRID_CASES))
+    def test_chunked_equals_unchunked_and_pergroup(
+            self, case, runner, chunk_lanes, monkeypatch):
+        build, has_tail = GRID_CASES[case]
+        coo = build()
+        x = np.random.default_rng(5).standard_normal(coo.ncols)
+        if runner == "hyb":
+            assert bool(HYBMatrix.from_coo(coo).coo.nnz) == has_tail
+
+        def make():
+            return BASELINES[runner](coo)
+
+        ref, ref_kernels = observed_run(make, x, monkeypatch, "pergroup")
+        assert not isinstance(ref, str)
+        assert np.allclose(ref.y, coo.todense() @ x)
+        monkeypatch.setattr(executor_mod, "BATCH_CHUNK_LANES", 1 << 30)
+        whole, whole_kernels = observed_run(make, x, monkeypatch, "batched")
+        monkeypatch.setattr(executor_mod, "BATCH_CHUNK_LANES", chunk_lanes)
+        chunked, kernels = observed_run(make, x, monkeypatch, "batched")
+        assert_same_run(ref, whole)
+        assert_same_run(ref, chunked)
+        expected = (["ell_kernel"] + ["coo_kernel"] * has_tail
+                    if runner == "hyb" else ["kernel"])
+        for launched in (ref_kernels, whole_kernels, kernels):
+            assert [k for k, _ in launched] == expected
 
 
 class TestEdgeCases:
