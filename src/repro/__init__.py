@@ -64,7 +64,6 @@ __all__ = [
     "PlanCache",
     "ServeOverloaded",
     "ClusterEngine",
-    "ReproDeprecationWarning",
     "fingerprint",
 ]
 
@@ -90,7 +89,6 @@ _LAZY = {
     "PlanCache": "repro.serve.cache",
     "ServeOverloaded": "repro.serve.admission",
     "ClusterEngine": "repro.cluster",
-    "ReproDeprecationWarning": "repro.validation",
     "fingerprint": "repro.core.serialize",
 }
 

@@ -33,7 +33,7 @@ from repro.analyze.model import build_model
 from repro.analyze.report import AnalysisReport
 from repro.codegen.opencl_source import generate_opencl_source
 from repro.codegen.plan import KernelPlan, build_plan
-from repro.codegen.python_codelet import emit_python_source
+from repro.codegen.python_codelet import emit_python_source, expected_functions
 from repro.codegen.validator import (
     OpenCLSyntaxError,
     PythonCodeletSyntaxError,
@@ -100,7 +100,7 @@ def _check_render(model, plan: KernelPlan, precision: str,
         report.add("render", "error", "opencl rendering",
                    f"structural validation failed: {exc}")
     try:
-        validate_python_source(python_src, expected=_expected_codelets(plan))
+        validate_python_source(python_src, expected=expected_functions(plan))
     except PythonCodeletSyntaxError as exc:
         report.add("render", "error", "python rendering",
                    f"validation failed: {exc}")
@@ -141,14 +141,3 @@ def _check_render(model, plan: KernelPlan, precision: str,
         report.add("render", "error", "opencl rendering",
                    "__local xtile declared although the plan does not "
                    "use local memory")
-
-
-def _expected_codelets(plan: KernelPlan):
-    names = ["crsd_dia_kernel", "crsd_dia_kernel_batched"]
-    for i in range(len(plan.regions)):
-        names.append(f"_codelet_p{i}")
-        names.append(f"_codelet_p{i}_batched")
-    if plan.scatter.num_rows:
-        names.append("crsd_scatter_kernel")
-        names.append("crsd_scatter_kernel_batched")
-    return names

@@ -90,7 +90,7 @@ class _Writer:
         return self._buf.getvalue()
 
 
-def _expected_functions(plan: KernelPlan) -> List[str]:
+def expected_functions(plan: KernelPlan) -> List[str]:
     """Function inventory the emitted module must define for ``plan``."""
     names = ["crsd_dia_kernel", "crsd_dia_kernel_batched"]
     for i in range(len(plan.regions)):
@@ -112,7 +112,7 @@ def generate_python_kernel(plan: KernelPlan,
     reports a violation — no kernel with a provable defect compiles.
     """
     src = emit_python_source(plan)
-    validate_python_source(src, expected=_expected_functions(plan))
+    validate_python_source(src, expected=expected_functions(plan))
     if strict:
         # local import: repro.analyze itself analyzes this module's output
         from repro.analyze.driver import analyze_plan

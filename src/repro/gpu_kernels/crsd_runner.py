@@ -7,29 +7,31 @@ absence of index traffic in the trace).  The diagonal kernel launches
 one work-group per row segment with ``local_size = mrows``; the scatter
 ELL kernel runs second and overwrites its rows.  Both launches share
 one L2 :class:`~repro.ocl.memory.SegmentCache` so the trace models the
-x-vector residency the scatter kernel inherits from the diagonal pass.
+x-vector residency the scatter kernel inherits from the diagonal pass
+(:func:`launch_plan`, which the symmetric runner shares).
 
-The execution engine is selected by ``REPRO_EXECUTOR`` (see
-:func:`~repro.ocl.executor.executor_mode`).  The default fused engine
-executes the whole SpMV as a few whole-matrix expressions with a trace
-synthesized from the static predictor — entered only when the analyzer
-certifies the plan (see :mod:`repro.gpu_kernels.fused`); a declined
-plan records a ``fused.uncertified`` event and runs on the
-segment-batched engine (``REPRO_EXECUTOR=batched``), which runs each
-kernel as one vectorised invocation.  The per-group reference engine
-(``REPRO_EXECUTOR=pergroup``) iterates work-groups sequentially and
-serves as the correctness oracle.  A fused run can additionally be
-differentially verified against the batched oracle
-(``REPRO_FUSED_VERIFY=first`` or ``always``); any mismatch permanently
-demotes the runner to ``batched`` and files an :class:`IncidentReport`
-on the served run.  :class:`~repro.shard.executor.ShardedSpMV` applies
-the same policy per shard, against that shard's batched launches.
+One :class:`PlanExecutor` runs one :class:`~repro.codegen.plan.KernelPlan`
+through the engine ladder selected by ``REPRO_EXECUTOR`` (see
+:func:`~repro.ocl.executor.executor_mode`).  :class:`CrsdSpMV` and
+:class:`CrsdSpMM` hold one; :class:`~repro.shard.executor.ShardedSpMV`
+holds one per shard, so an unsharded matrix is simply a one-block
+partition.  The default fused engine executes the plan as a few
+whole-matrix expressions with a trace synthesized from the static
+predictor — entered only when the analyzer certifies the plan (see
+:mod:`repro.gpu_kernels.fused`); a declined plan records a
+``fused.uncertified`` event and runs on the segment-batched engine
+(``REPRO_EXECUTOR=batched``), which runs each kernel as one vectorised
+invocation.  The per-group reference engine (``REPRO_EXECUTOR=pergroup``)
+iterates work-groups sequentially and serves as the correctness oracle.
+A fused run can additionally be differentially verified against the
+batched oracle (``REPRO_FUSED_VERIFY=first`` or ``always``); any
+mismatch, like a crashed prover, permanently demotes that executor to
+``batched`` and files an :class:`IncidentReport` on the served run.
 
-A runner builds its :class:`~repro.codegen.plan.KernelPlan` at
-construction but generates the Python codelets (emit, source
-validation, ``compile``) only when a batched or per-group launch, or
-fused verification, first needs them: a runner the fused engine serves
-never generates them.  ``strict=True`` generates them eagerly, so the
+An executor generates its Python codelets (emit, source validation,
+``compile``) only when a batched or per-group launch, or fused
+verification, first needs them: a plan the fused engine serves never
+generates them.  ``strict=True`` generates them eagerly, so the
 analyzer's :class:`~repro.analyze.report.KernelAnalysisError` still
 raises at construction.
 """
@@ -55,11 +57,13 @@ from repro.ocl.executor import (
     launch_batched,
     make_launch_cache,
 )
+from repro.ocl.trace import KernelTrace
 from repro.resilience import faults as _flt
 
 #: environment variable selecting fused differential verification:
 #: ``off`` (default), ``first`` (verify the first fused run of each
-#: runner against the batched oracle), ``always`` (verify every run)
+#: plan executor against the batched oracle), ``always`` (verify every
+#: run)
 FUSED_VERIFY_ENV = "REPRO_FUSED_VERIFY"
 
 #: ladder-style rung name fused incidents report as requested
@@ -79,43 +83,266 @@ def fused_verify_mode() -> str:
     return mode
 
 
-def record_fused_decline(kernel: str, reasons, **labels) -> None:
-    """Record the ``fused.uncertified`` event of a clean prover decline
-    (the runner falls back to the batched engine)."""
-    sess = _obs.ACTIVE
-    if sess is not None:
-        sess.record_event("fused.uncertified", category="resilience",
-                          kernel=kernel, reasons=list(reasons), **labels)
+def launch_plan(kernel, plan, device, values, scatter, xbuf, ybuf,
+                trace: bool, batched=None) -> KernelTrace:
+    """Launch ``plan``'s codelets over bound device buffers.
 
-
-def fused_incident(kernel: str, precision: str, outcome: str, error=None,
-                   message: str = "", **labels):
-    """The :class:`~repro.resilience.engine.IncidentReport` of a fused
-    demotion to the batched engine, with its ``fused.demoted`` event.
-
-    ``outcome`` is ``"fault"`` for a crashed prover or
-    ``"verify-failed"`` for a fused result the batched oracle refuted;
-    ``labels`` (e.g. a shard index) go on the event.
+    The diagonal kernel runs over ``values``, then — when the plan has
+    scatter rows — the scatter kernel over the ``scatter`` buffer
+    triple ``(colval, val, rowno)``, both on one L2 cache: the scatter
+    pass reuses x lines the diagonal pass brought in.  ``batched``
+    picks the segment-batched form, or the per-group form when false;
+    ``None`` follows :func:`~repro.ocl.executor.executor_mode` (fused
+    serves through the batched form).
     """
-    from repro.resilience.engine import AttemptRecord, IncidentReport
+    if batched is None:
+        batched = executor_mode() != "pergroup"
+    if batched:
+        do_launch = launch_batched
+        dia_kernel = kernel.dia_kernel_batched
+    else:
+        do_launch = launch
+        dia_kernel = kernel.dia_kernel
+    cache = make_launch_cache(device, trace)
+    tr = do_launch(dia_kernel, plan.num_groups, plan.local_size,
+                   (values, xbuf, ybuf), device, trace, cache)
+    if plan.scatter.num_rows:
+        groups = -(-plan.scatter.num_rows // plan.local_size)
+        tr.merge(do_launch(
+            kernel.scatter_kernel_batched if batched
+            else kernel.scatter_kernel,
+            groups, plan.local_size, (*scatter, xbuf, ybuf), device,
+            trace, cache))
+    return tr
 
-    incident = IncidentReport(
-        requested=FUSED_RUNG, precision=precision, served_rung=kernel,
-        attempts=[
-            AttemptRecord(
-                rung=FUSED_RUNG, attempt=1, outcome=outcome,
-                error=type(error).__name__ if error is not None else None,
-                message=message),
-            AttemptRecord(rung=kernel, attempt=1, outcome="served"),
-        ],
-        verified=(outcome == "verify-failed") or None,
-    )
+
+class PlanExecutor:
+    """One CRSD plan and its engine ladder: fused, batched, per-group.
+
+    Holds the plan, its lazily generated codelets and its fused state,
+    and runs the plan on the owning runner's bound buffers.  A runner
+    over a whole matrix holds one; a sharded runner holds one per
+    shard, with ``labels={"shard": i}`` on its events and a
+    ``shard {i} `` prefix on its incident messages.
+
+    Parameters
+    ----------
+    plan:
+        The kernel plan (a whole matrix's or one shard's sub-plan).
+    name:
+        The owning runner's name: the kernel of events and incidents,
+        and the ``{name}.fused_certify`` fault-injection phase.
+    device, precision:
+        The owning runner's device and precision.
+    scatter_colval, scatter_rowno:
+        The host scatter structure the plan's scatter rows read, for
+        fused certification.
+    dia_val_size:
+        Elements of the bound ``dia_val`` buffer when it is larger than
+        the plan's own slab (a shard binds the full matrix's slab).
+    labels:
+        Extra attributes of this executor's events.
+    template:
+        A same-pattern donor executor whose codelets — and, on the same
+        device and precision, fused state — are adopted, not rebuilt.
+    strict:
+        Generate (and analyze) the codelets now.
+    """
+
+    def __init__(self, plan, name: str, device, precision: str,
+                 scatter_colval, scatter_rowno, dia_val_size=None,
+                 labels=None, template: "PlanExecutor" = None,
+                 strict: bool = False):
+        self.plan = plan
+        self.name = name
+        self.device = device
+        self.precision = precision
+        self._scatter_colval = scatter_colval
+        self._scatter_rowno = scatter_rowno
+        self._dia_val_size = dia_val_size
+        self.labels = dict(labels or {})
+        # incident messages name the labels first, e.g. "shard 2 "
+        self._prefix = "".join(f"{k} {v} " for k, v in self.labels.items())
+        self._template = template
+        self._kernel = None
+        if strict and template is None:
+            self._kernel = generate_python_kernel(plan, strict=True)
+        #: fused state: None = not built, False = declined or demoted
+        self.fused_state = None
+        #: whether a fused run passed ``REPRO_FUSED_VERIFY=first``
+        self.verified = False
+        self._pending = None
+
+    @property
+    def kernel(self):
+        """The generated Python codelets (batched and per-group forms).
+
+        Generated on first access — the fused engine never needs them —
+        or resolved through the donor, so a twin and its donor share
+        one compiled set.
+        """
+        if self._kernel is None:
+            self._kernel = (self._template.kernel
+                            if self._template is not None
+                            else generate_python_kernel(self.plan))
+        return self._kernel
+
+    def run(self, dia_val, scatter, xbuf, ybuf, trace: bool):
+        """Run the plan on bound buffers under ``executor_mode()``.
+
+        ``scatter`` is the ``(colval, val, rowno)`` buffer triple, or
+        ``None`` for a plan without scatter rows.  Returns the
+        :class:`~repro.ocl.trace.KernelTrace` and the
+        :class:`~repro.resilience.engine.IncidentReport` of a demotion
+        this run made (or ``None``).
+        """
+        mode = executor_mode()
+        tr = None
+        if mode == "fused":
+            tr = self._run_fused(dia_val, scatter, xbuf, ybuf, trace)
+        if tr is None:
+            # not fused, or the fused engine declined or was demoted
+            tr = launch_plan(self.kernel, self.plan, self.device, dia_val,
+                             scatter, xbuf, ybuf, trace,
+                             batched=(mode != "pergroup"))
+        incident, self._pending = self._pending, None
+        return tr, incident
+
+    # ------------------------------------------------------------------
+    def _build_fused_state(self):
+        """Certify the plan (or adopt the donor's state); ``False`` when
+        the provers decline or crash."""
+        tpl = self._template
+        if (tpl is not None and tpl.fused_state is not None
+                and tpl.precision == self.precision
+                and tpl.device == self.device):
+            return tpl.fused_state
+        try:
+            if _flt.ACTIVE is not None:
+                _flt.ACTIVE.on_phase(f"{self.name}.fused_certify")
+            state, cert = build_fused_state(
+                self.plan, self.device, self.precision,
+                scatter_colval=self._scatter_colval,
+                scatter_rowno=self._scatter_rowno,
+                dia_val_size=self._dia_val_size)
+        except Exception as exc:
+            # a *crashed* prover is an incident, not a clean decline
+            self._demote("fault", error=exc,
+                         message="fused certification raised; "
+                                 "demoted to batched")
+            return False
+        if state is None:
+            # cleanly not certifiable: fall back, leaving an event
+            sess = _obs.ACTIVE
+            if sess is not None:
+                sess.record_event("fused.uncertified", category="resilience",
+                                  kernel=self.name,
+                                  reasons=list(cert.reasons), **self.labels)
+            return False
+        return state
+
+    def _demote(self, outcome: str, error=None, message: str = "") -> None:
+        """Run batched from now on and file the IncidentReport, with its
+        ``fused.demoted`` event, for the run to return.
+
+        ``outcome`` is ``"fault"`` for a crashed prover or
+        ``"verify-failed"`` for a fused result the batched oracle
+        refuted.
+        """
+        from repro.resilience.engine import AttemptRecord, IncidentReport
+
+        self.fused_state = False
+        message = self._prefix + message
+        self._pending = IncidentReport(
+            requested=FUSED_RUNG, precision=self.precision,
+            served_rung=self.name,
+            attempts=[
+                AttemptRecord(
+                    rung=FUSED_RUNG, attempt=1, outcome=outcome,
+                    error=type(error).__name__ if error is not None
+                    else None,
+                    message=message),
+                AttemptRecord(rung=self.name, attempt=1, outcome="served"),
+            ],
+            verified=(outcome == "verify-failed") or None,
+        )
+        sess = _obs.ACTIVE
+        if sess is not None:
+            sess.record_event("fused.demoted", category="resilience",
+                              kernel=self.name, outcome=outcome,
+                              message=message, **self.labels)
+
+    def _run_fused(self, dia_val, scatter, xbuf, ybuf, trace: bool):
+        """One fused run, or ``None`` to fall back to batched.
+
+        Under ``REPRO_FUSED_VERIFY`` the fused rows and trace are
+        checked against the plan's batched launches from the same
+        starting ``y``; a mismatch leaves the oracle's rows in ``ybuf``,
+        demotes this executor and returns the oracle's trace (launch
+        geometry only when ``trace`` is off).
+        """
+        if self.fused_state is None:
+            self.fused_state = self._build_fused_state()
+        state = self.fused_state
+        if not state:
+            return None
+        verify = fused_verify_mode()
+        need_verify = verify == "always" or (verify == "first"
+                                             and not self.verified)
+        y_before = ybuf.data.copy() if need_verify else None
+        tr = run_fused_launch(state, self.plan.local_size, dia_val,
+                              scatter[1] if scatter is not None else None,
+                              xbuf, ybuf, trace)
+        if need_verify:
+            y_fused = ybuf.data.copy()
+            ybuf.data[:] = y_before
+            oracle = launch_plan(self.kernel, self.plan, self.device,
+                                 dia_val, scatter, xbuf, ybuf, True,
+                                 batched=True)
+            if not (np.array_equal(y_fused, ybuf.data)
+                    and dataclasses.asdict(state.run_trace(True))
+                    == dataclasses.asdict(oracle)):
+                self._demote("verify-failed",
+                             message="fused y/trace diverged from the "
+                                     "batched oracle; demoted to batched")
+                if trace:
+                    return oracle
+                return KernelTrace(work_groups=oracle.work_groups,
+                                   wavefronts=oracle.wavefronts)
+            ybuf.data[:] = y_fused
+            self.verified = True
+        return tr
+
+
+def run_fused_launch(state, local_size: int, dia_val, sval, xbuf, ybuf,
+                     trace: bool):
+    """One launch of a fused kernel over its bound device buffers.
+
+    Fires the fault-injection launch hooks around the kernel and
+    records the ``crsd_fused_kernel`` obs kernel; returns the run's
+    :class:`~repro.ocl.trace.KernelTrace`.  ``sval`` is the scatter
+    value buffer, or ``None`` for a (shard) plan without scatter rows.
+    """
     sess = _obs.ACTIVE
+    t0 = _obs.perf_counter() if sess is not None else 0.0
+    if _flt.ACTIVE is not None:
+        _flt.ACTIVE.on_launch(FUSED_KERNEL_NAME)
+    state.kernel(dia_val.data,
+                 sval.data if sval is not None
+                 else np.empty(0, dtype=dia_val.data.dtype),
+                 xbuf.data, ybuf.data)
+    if _flt.ACTIVE is not None:
+        _flt.ACTIVE.on_launch_exit(
+            FUSED_KERNEL_NAME,
+            tuple(b for b in (dia_val, sval, xbuf, ybuf) if b is not None))
+    tr = state.run_trace(trace)
     if sess is not None:
-        sess.record_event("fused.demoted", category="resilience",
-                          kernel=kernel, outcome=outcome, message=message,
-                          **labels)
-    return incident
+        sess.record_kernel(
+            FUSED_KERNEL_NAME, work_groups=state.work_groups,
+            local_size=local_size, executor="fused",
+            wall_s=_obs.perf_counter() - t0,
+            trace=tr if trace else None)
+    return tr
 
 
 class CrsdSpMV(GPUSpMV):
@@ -157,7 +384,7 @@ class CrsdSpMV(GPUSpMV):
             template = None
             self.plan = build_plan(matrix,
                                    use_local_memory=use_local_memory)
-        self._init_kernels(template, strict)
+        self._init_executor(template, strict)
 
     @property
     def nrows(self) -> int:
@@ -167,38 +394,23 @@ class CrsdSpMV(GPUSpMV):
     def ncols(self) -> int:
         return self.matrix.ncols
 
-    def _init_kernels(self, template, strict: bool) -> None:
-        """Set up the lazily generated codelets and the fused state.
-
-        ``template`` is the adopted same-pattern donor (or ``None``):
-        its codelets and fused state are shared instead of rebuilt.
-        ``strict`` generates the codelets now, running the analyzer so
-        a bad plan raises at construction.
-        """
-        self._template = template
-        self._kernel = None
-        if strict and template is None:
-            self._kernel = generate_python_kernel(self.plan, strict=True)
-        self._fused_state_obj = None   # None = not built, False = declined
-        self._fused_demoted = False
-        self._fused_verified = False
-        self._fused_incident_pending = None
+    def _init_executor(self, template, strict: bool) -> None:
+        """Set up the plan's :class:`PlanExecutor`, sharing the adopted
+        same-pattern donor's (``template``, or ``None``) codelets and
+        fused state."""
+        self._executor = PlanExecutor(
+            self.plan, self.name, self.device, self.precision,
+            self.matrix.scatter_colval, self.matrix.scatter_rowno,
+            template=template._executor if template is not None else None,
+            strict=strict)
         #: IncidentReports filed by fused demotions, newest last
         self.fused_incidents = []
 
     @property
     def kernel(self):
-        """The generated Python codelets (batched and per-group forms).
-
-        Generated on first access — the fused engine never needs them —
-        or resolved through the same-pattern donor, so a twin and its
-        donor share one compiled set.
-        """
-        if self._kernel is None:
-            self._kernel = (self._template.kernel
-                            if self._template is not None
-                            else generate_python_kernel(self.plan))
-        return self._kernel
+        """The generated Python codelets (batched and per-group forms),
+        generated on first access."""
+        return self._executor.kernel
 
     @property
     def opencl_source(self) -> str:
@@ -217,14 +429,16 @@ class CrsdSpMV(GPUSpMV):
             self.matrix.dia_val.astype(self.dtype), "crsd_dia_val"
         )
         # scatter arrays column-major so the unrolled loads coalesce
-        self._scol = self.context.alloc(
-            np.ascontiguousarray(self.matrix.scatter_colval.T).ravel(), "scatter_colval"
+        self._scatter = (
+            self.context.alloc(
+                np.ascontiguousarray(self.matrix.scatter_colval.T).ravel(),
+                "scatter_colval"),
+            self.context.alloc(
+                np.ascontiguousarray(self.matrix.scatter_val.T)
+                .astype(self.dtype).ravel(),
+                "scatter_val"),
+            self.context.alloc(self.matrix.scatter_rowno, "scatter_rowno"),
         )
-        self._sval = self.context.alloc(
-            np.ascontiguousarray(self.matrix.scatter_val.T).astype(self.dtype).ravel(),
-            "scatter_val",
-        )
-        self._srow = self.context.alloc(self.matrix.scatter_rowno, "scatter_rowno")
         self._y = self.context.alloc_zeros(self._result_elems(), self.dtype, "y")
 
     def _execute(self, x: np.ndarray, trace: bool) -> SpMVRun:
@@ -232,65 +446,15 @@ class CrsdSpMV(GPUSpMV):
         try:
             ybuf = self._y
             ybuf.data[:] = 0
-            mode = executor_mode()
-            if mode == "fused":
-                run = self._execute_fused(xbuf, ybuf, trace)
-                if run is not None:
-                    return run
-                # not certified / demoted: fall back to batched
-                ybuf.data[:] = 0
-                mode = "batched"
-            run = self._execute_launches(xbuf, ybuf, trace,
-                                         batched=(mode == "batched"))
-            if self._fused_incident_pending is not None:
-                run.resilience = self._fused_incident_pending
-                self._fused_incident_pending = None
-            return run
+            tr, incident = self._executor.run(self._dia_val, self._scatter,
+                                              xbuf, ybuf, trace)
+            if incident is not None:
+                self.fused_incidents.append(incident)
+            return SpMVRun(y=ybuf.to_host().copy(), trace=tr,
+                           resilience=incident)
         finally:
             self.context.free(xbuf)
 
-    # ------------------------------------------------------------------
-    # dynamic engines (batched grid / per-group oracle)
-    # ------------------------------------------------------------------
-    def _execute_launches(self, xbuf, ybuf, trace: bool,
-                          batched: bool) -> SpMVRun:
-        if batched:
-            do_launch = launch_batched
-            dia_kernel = self.kernel.dia_kernel_batched
-            scatter_kernel = self.kernel.scatter_kernel_batched
-        else:
-            do_launch = launch
-            dia_kernel = self.kernel.dia_kernel
-            scatter_kernel = self.kernel.scatter_kernel
-        # one L2 cache for both kernels of this SpMV: the scatter
-        # pass reuses x lines the diagonal pass brought in
-        cache = make_launch_cache(self.device, trace)
-        tr = do_launch(
-            dia_kernel,
-            self.plan.num_groups,
-            self.plan.local_size,
-            (self._dia_val, xbuf, ybuf),
-            self.device,
-            trace,
-            cache,
-        )
-        if scatter_kernel is not None:
-            groups = -(-self.plan.scatter.num_rows // self.plan.local_size)
-            tr2 = do_launch(
-                scatter_kernel,
-                groups,
-                self.plan.local_size,
-                (self._scol, self._sval, self._srow, xbuf, ybuf),
-                self.device,
-                trace,
-                cache,
-            )
-            tr.merge(tr2)
-        return SpMVRun(y=ybuf.to_host().copy(), trace=tr)
-
-    # ------------------------------------------------------------------
-    # fused engine
-    # ------------------------------------------------------------------
     def _template_compatible(self, template, nvec: int,
                              use_local_memory=None) -> bool:
         """Cheap sanity guard — callers passing a template are expected
@@ -306,140 +470,6 @@ class CrsdSpMV(GPUSpMV):
                 and template.plan.mrows == m.mrows
                 and template.plan.scatter.num_rows == m.num_scatter_rows
                 and template.matrix.dia_val.size == m.dia_val.size)
-
-    def _fused_state(self):
-        """The runner's fused execution state, built (or adopted from
-        the template) on first use; ``None`` when declined/demoted."""
-        if self._fused_demoted:
-            return None
-        if self._fused_state_obj is None:
-            self._fused_state_obj = self._build_fused_state()
-        return self._fused_state_obj or None
-
-    def _build_fused_state(self):
-        tpl = self._template
-        if (tpl is not None and tpl._fused_state_obj is not None
-                and tpl.precision == self.precision
-                and tpl.device == self.device):
-            return tpl._fused_state_obj
-        try:
-            if _flt.ACTIVE is not None:
-                _flt.ACTIVE.on_phase(f"{self.name}.fused_certify")
-            state, cert = build_fused_state(
-                self.plan, self.device, self.precision,
-                scatter_colval=self.matrix.scatter_colval,
-                scatter_rowno=self.matrix.scatter_rowno)
-        except Exception as exc:
-            # a *crashed* prover is an incident, not a clean decline:
-            # demote permanently and surface the report on the next run
-            self._demote("fault", error=exc,
-                         message="fused certification raised; "
-                                 "demoted to batched")
-            return False
-        if state is None:
-            # cleanly not certifiable: fall back, leaving an event
-            record_fused_decline(self.name, cert.reasons)
-            return False
-        return state
-
-    def _demote(self, outcome: str, error=None, message: str = "") -> None:
-        """Permanently demote this runner to the batched engine and
-        file the IncidentReport (attached to the next served run)."""
-        self._fused_demoted = True
-        incident = fused_incident(self.name, self.precision, outcome,
-                                  error=error, message=message)
-        self.fused_incidents.append(incident)
-        self._fused_incident_pending = incident
-
-    def _execute_fused(self, xbuf, ybuf, trace: bool):
-        """One fused run, or ``None`` to fall back to batched."""
-        state = self._fused_state()
-        if state is None:
-            return None
-        verify = fused_verify_mode()
-        need_verify = verify == "always" or (verify == "first"
-                                             and not self._fused_verified)
-        tr = run_fused_launch(state, self.plan.local_size, self._dia_val,
-                              self._sval, xbuf, ybuf, trace)
-        if need_verify:
-            mismatch = self._fused_mismatch(state, xbuf, ybuf, trace)
-            if mismatch is not None:
-                return mismatch
-            self._fused_verified = True
-        return SpMVRun(y=ybuf.to_host().copy(), trace=tr)
-
-    def _fused_mismatch(self, state, xbuf, ybuf, trace: bool):
-        """Differentially verify the fused result in ``ybuf`` against
-        the batched oracle.  Returns ``None`` on agreement (``ybuf``
-        restored to the — bit-identical — fused result) or the oracle's
-        run with the demotion incident attached."""
-        y_fused = ybuf.data.copy()
-        tr_fused = state.run_trace(True)
-        ybuf.data[:] = 0
-        oracle = self._execute_launches(xbuf, ybuf, True, batched=True)
-        if fused_agrees(y_fused, tr_fused, oracle.y, oracle.trace):
-            ybuf.data[:] = y_fused
-            return None
-        self._demote("verify-failed",
-                     message="fused y/trace diverged from the batched "
-                             "oracle; demoted to batched")
-        oracle.resilience = self._fused_incident_pending
-        self._fused_incident_pending = None
-        if not trace:
-            oracle = SpMVRun(y=oracle.y,
-                             trace=minimal_trace(oracle.trace),
-                             resilience=oracle.resilience)
-        return oracle
-
-
-def run_fused_launch(state, local_size: int, dia_val, sval, xbuf, ybuf,
-                     trace: bool):
-    """One launch of a fused kernel over its bound device buffers.
-
-    Fires the fault-injection launch hooks around the kernel and
-    records the ``crsd_fused_kernel`` obs kernel; returns the run's
-    :class:`~repro.ocl.trace.KernelTrace`.  ``sval`` is the scatter
-    value buffer, or ``None`` for a (shard) plan without scatter rows.
-    Shared by the whole-matrix and the sharded runners.
-    """
-    sess = _obs.ACTIVE
-    t0 = _obs.perf_counter() if sess is not None else 0.0
-    if _flt.ACTIVE is not None:
-        _flt.ACTIVE.on_launch(FUSED_KERNEL_NAME)
-    state.kernel(dia_val.data,
-                 sval.data if sval is not None
-                 else np.empty(0, dtype=dia_val.data.dtype),
-                 xbuf.data, ybuf.data)
-    if _flt.ACTIVE is not None:
-        _flt.ACTIVE.on_launch_exit(
-            FUSED_KERNEL_NAME,
-            tuple(b for b in (dia_val, sval, xbuf, ybuf) if b is not None))
-    tr = state.run_trace(trace)
-    if sess is not None:
-        sess.record_kernel(
-            FUSED_KERNEL_NAME, work_groups=state.work_groups,
-            local_size=local_size, executor="fused",
-            wall_s=_obs.perf_counter() - t0,
-            trace=tr if trace else None)
-    return tr
-
-
-def fused_agrees(y_fused, tr_fused, y_oracle, tr_oracle) -> bool:
-    """Whether a fused result and trace equal the batched oracle's,
-    bit for bit and counter for counter."""
-    return (np.array_equal(y_fused, y_oracle)
-            and dataclasses.asdict(tr_fused)
-            == dataclasses.asdict(tr_oracle))
-
-
-def minimal_trace(full):
-    """An untraced-run view of a full trace (launch geometry only):
-    what an oracle run made for verification returns when the caller
-    did not ask for a trace."""
-    from repro.ocl.trace import KernelTrace
-
-    return KernelTrace(work_groups=full.work_groups,
-                       wavefronts=full.wavefronts)
 
 
 class CrsdSpMM(CrsdSpMV):
@@ -486,7 +516,7 @@ class CrsdSpMM(CrsdSpMV):
                 use_local_memory=True if use_local_memory is None else use_local_memory,
                 nvec=self.nvec,
             )
-        self._init_kernels(template, strict)
+        self._init_executor(template, strict)
 
     def run(self, x: np.ndarray, trace: bool = True) -> SpMVRun:
         """Compute ``Y = A @ X`` for ``X`` of shape ``(ncols, nvec)``."""

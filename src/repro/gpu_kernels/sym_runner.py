@@ -8,11 +8,13 @@ from DRAM once*: the mirror read lands on lines the forward read of the
 neighbouring segment brought into L2, so DRAM value traffic roughly
 halves versus the full carrier, which is the point of the format.
 
-Single launch, no scatter pass.  The execution engine follows
-``REPRO_EXECUTOR`` like the full runner; the fused engine has no
-symmetric lowering yet, so ``fused`` serves through the batched engine
-(the codelets are identical — this is an engine choice, not a fallback
-incident).
+Single launch, no scatter pass: it launches through the full runner's
+:func:`~repro.gpu_kernels.crsd_runner.launch_plan`, which skips the
+scatter launch because a symmetric plan has no scatter rows.  The
+execution engine follows ``REPRO_EXECUTOR`` like the full runner; the
+fused engine has no symmetric lowering yet, so ``fused`` serves through
+the batched engine (the codelets are identical — this is an engine
+choice, not a fallback incident, so no ``fused.uncertified`` event).
 """
 
 from __future__ import annotations
@@ -20,12 +22,7 @@ from __future__ import annotations
 from repro.codegen.sym_codelet import build_sym_plan, generate_sym_python_kernel
 from repro.core.symcrsd import SymCRSDMatrix
 from repro.gpu_kernels.base import GPUSpMV, SpMVRun
-from repro.ocl.executor import (
-    executor_mode,
-    launch,
-    launch_batched,
-    make_launch_cache,
-)
+from repro.gpu_kernels.crsd_runner import launch_plan
 
 
 class SymCrsdSpMV(GPUSpMV):
@@ -85,20 +82,8 @@ class SymCrsdSpMV(GPUSpMV):
         try:
             ybuf = self._y
             ybuf.data[:] = 0
-            batched = executor_mode() != "pergroup"
-            do_launch = launch_batched if batched else launch
-            kernel = (self.kernel.dia_kernel_batched if batched
-                      else self.kernel.dia_kernel)
-            cache = make_launch_cache(self.device, trace)
-            tr = do_launch(
-                kernel,
-                self.plan.num_groups,
-                self.plan.local_size,
-                (self._sym_val, xbuf, ybuf),
-                self.device,
-                trace,
-                cache,
-            )
+            tr = launch_plan(self.kernel, self.plan, self.device,
+                             self._sym_val, None, xbuf, ybuf, trace)
             return SpMVRun(y=ybuf.to_host().copy(), trace=tr)
         finally:
             self.context.free(xbuf)

@@ -93,12 +93,11 @@ def profile_matrix(
     all (e.g. DIA out of device memory in double precision) is skipped
     instead of aborting the sweep: it gets a machine-readable record
     in ``report.skips`` (entry/format/executor/precision plus error
-    type and reason) and — for :class:`DeviceMemoryError` — the legacy
-    ``.oom`` event span.
+    type and reason).
     """
     # imported lazily: the executor itself hooks into repro.obs.recorder
     from repro.bench.runner import _build_runners
-    from repro.ocl.errors import DeviceMemoryError, OCLError
+    from repro.ocl.errors import OCLError
     from repro.ocl.executor import EXECUTOR_ENV, EXECUTOR_MODES
     from repro.perf.costmodel import predict_gpu_time
 
@@ -134,12 +133,6 @@ def profile_matrix(
                                 )[fmt]
                                 run = runner.run(x)
                         except OCLError as exc:
-                            if isinstance(exc, DeviceMemoryError):
-                                # the legacy per-skip event, kept for
-                                # report consumers keyed on ".oom"
-                                session.record_event(
-                                    f"{entry}.oom", "event",
-                                    reason=str(exc))
                             skips.append({
                                 "entry": entry,
                                 "format": fmt,

@@ -26,7 +26,6 @@ import hashlib
 import json
 import os
 import time
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
@@ -39,7 +38,6 @@ from repro.serve.admission import AdmissionPolicy
 from repro.serve.batcher import BatchConfig
 from repro.serve.cache import PlanCache
 from repro.serve.engine import Engine, ServeEngine, ServedResult
-from repro.validation import ReproDeprecationWarning
 
 __all__ = ["LoadConfig", "LoadReport", "run_loadgen", "report_json",
            "append_serve_trajectory", "trajectory_path",
@@ -333,7 +331,7 @@ def _fold_checksum(results: List[ServedResult]) -> str:
 
 def run_loadgen(
     config: LoadConfig,
-    *deprecated_engine,
+    *,
     engine: Optional[Engine] = None,
     batch: Optional[BatchConfig] = None,
     admission: Optional[AdmissionPolicy] = None,
@@ -350,9 +348,7 @@ def run_loadgen(
     :class:`~repro.cluster.engine.ClusterEngine` — and takes over
     serving (the engine-construction knobs ``batch``/``admission``/
     ``cache`` then must stay unset); the report's ``schema`` follows
-    the engine's ``report_schema``.  Passing the engine positionally
-    is deprecated (:class:`~repro.validation.ReproDeprecationWarning`)
-    — name it: ``run_loadgen(config, engine=...)``.  ``cache``
+    the engine's ``report_schema``.  ``cache``
     optionally shares a :class:`~repro.serve.cache.PlanCache` across
     runs — the warm-cache steady state the throughput benchmarks
     measure (report *contents* are cache-independent; only wall-clock
@@ -362,20 +358,6 @@ def run_loadgen(
     cluster engine (anything with the ``fail_device`` scheduling
     surface) and the schedule is recorded in the report.
     """
-    if deprecated_engine:
-        if len(deprecated_engine) > 1:
-            raise TypeError(
-                f"run_loadgen() takes at most one positional engine, got "
-                f"{len(deprecated_engine)}")
-        if engine is not None:
-            raise TypeError(
-                "run_loadgen() got the engine both positionally and as "
-                "engine=; pass it once, by keyword")
-        warnings.warn(
-            "passing the serving engine to run_loadgen() positionally is "
-            "deprecated; call run_loadgen(config, engine=...) instead",
-            ReproDeprecationWarning, stacklevel=2)
-        engine = deprecated_engine[0]
     if engine is not None and (batch is not None or admission is not None
                                or cache is not None):
         raise TypeError(

@@ -12,23 +12,13 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["InputValidationError", "ReproDeprecationWarning",
-           "validate_matrix", "validate_vector", "validate_batch",
-           "validate_symmetric"]
+__all__ = ["InputValidationError", "validate_matrix", "validate_vector",
+           "validate_batch", "validate_symmetric"]
 
 
 class InputValidationError(ValueError):
     """A facade input failed validation (bad dtype, shape, layout, or
     non-finite entries)."""
-
-
-class ReproDeprecationWarning(DeprecationWarning):
-    """A repro API is being called through a deprecated surface.
-
-    Typed (rather than a bare :class:`DeprecationWarning`) so callers
-    can filter exactly repro's deprecations — and so the tests can
-    assert a deprecation fires without also swallowing third-party
-    noise."""
 
 
 def validate_vector(x, length: int, name: str = "x") -> np.ndarray:

@@ -13,7 +13,6 @@ from repro.serve.loadgen import (
     report_json,
     run_loadgen,
 )
-from repro.validation import ReproDeprecationWarning
 
 #: small, fast config reused across tests
 FAST = dict(scale=0.02, num_requests=24, matrices=("kim1", "wang3"))
@@ -72,17 +71,9 @@ class TestClusterLoadgen:
 
 
 class TestDeprecatedPositionalEngine:
-    def test_positional_engine_warns_and_works(self):
-        cfg = LoadConfig(seed=3, **FAST)
-        keyword = run_loadgen(cfg, engine=serve_session())
-        with pytest.warns(ReproDeprecationWarning):
-            positional = run_loadgen(cfg, serve_session())
-        assert positional.y_checksum == keyword.y_checksum
-
-    def test_engine_passed_twice_rejected(self):
+    def test_positional_engine_rejected(self):
         with pytest.raises(TypeError):
-            run_loadgen(LoadConfig(seed=3, **FAST), serve_session(),
-                        engine=serve_session())
+            run_loadgen(LoadConfig(seed=3, **FAST), serve_session())
 
     def test_engine_with_construction_args_rejected(self):
         from repro.serve import BatchConfig

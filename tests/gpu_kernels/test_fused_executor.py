@@ -186,7 +186,7 @@ class TestCertificationGate:
         x = rng.standard_normal(200)
         runner = CrsdSpMV(crsd)
         fused_run = runner.run(x)
-        assert runner._fused_state() is None
+        assert runner._executor.fused_state is False
         assert runner.fused_incidents == []
         assert fused_run.resilience is None
         monkeypatch.setenv("REPRO_EXECUTOR", "batched")
@@ -238,7 +238,7 @@ class TestTemplateReuse:
         assert adopted.plan is donor.plan
         assert adopted.kernel is donor.kernel
         run = adopted.run(x)
-        assert adopted._fused_state() is donor._fused_state()
+        assert adopted._executor.fused_state is donor._executor.fused_state
         monkeypatch.setenv("REPRO_EXECUTOR", "batched")
         ref = CrsdSpMV(crsd2).run(x)
         assert np.array_equal(run.y, ref.y)

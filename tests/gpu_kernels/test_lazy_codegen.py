@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 import repro.gpu_kernels.crsd_runner as runner_mod
-import repro.shard.executor as shard_mod
 from repro.analyze import driver
 from repro.analyze.report import KernelAnalysisError
 from repro.analyze.sharding import certify_shard_plan
@@ -32,7 +31,8 @@ N = 160
 
 @pytest.fixture
 def codegen_calls(monkeypatch):
-    """Counts codelet generations by the CRSD and sharded runners."""
+    """Counts codelet generations by the CRSD and sharded runners (all
+    of them generate through their plan executors)."""
     calls = []
     real = runner_mod.generate_python_kernel
 
@@ -41,7 +41,6 @@ def codegen_calls(monkeypatch):
         return real(plan, strict=strict)
 
     monkeypatch.setattr(runner_mod, "generate_python_kernel", counting)
-    monkeypatch.setattr(shard_mod, "generate_python_kernel", counting)
     monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
     monkeypatch.delenv(FUSED_VERIFY_ENV, raising=False)
     return calls
@@ -63,7 +62,7 @@ class TestFusedServedRunners:
         runner = CrsdSpMV(crsd)
         runner.run(x_of())
         runner.run(x_of())
-        assert runner._fused_state() is not None
+        assert runner._executor.fused_state
         assert codegen_calls == []
 
     def test_spmm_never_generates(self, crsd, codegen_calls):
@@ -93,7 +92,7 @@ class TestGeneratedOnDemand:
         runner = CrsdSpMV(crsd)
         runner.run(x_of())
         runner.run(x_of())
-        assert runner._fused_verified
+        assert runner._executor.verified
         assert codegen_calls == [runner.plan]
 
     def test_decline_generates(self, crsd, codegen_calls, monkeypatch):
@@ -107,13 +106,13 @@ class TestGeneratedOnDemand:
     def test_declined_shard_generates_only_its_own(self, crsd,
                                                    codegen_calls,
                                                    monkeypatch):
-        real = shard_mod.build_fused_state
+        real = runner_mod.build_fused_state
         declined = FusedCertificate(ok=False, reasons=("declined",))
         runner = ShardedSpMV(
             crsd, certify_shard_plan(crsd, ShardPlanner(crsd).plan(2)))
         # decline shard 1 only
         monkeypatch.setattr(
-            shard_mod, "build_fused_state",
+            runner_mod, "build_fused_state",
             lambda plan, *a, **kw: ((None, declined)
                                     if plan is runner.subplans[1]
                                     else real(plan, *a, **kw)))

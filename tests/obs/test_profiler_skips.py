@@ -51,14 +51,6 @@ def test_skips_are_machine_readable_json(oom_report):
     assert again == payload["skips"]
 
 
-def test_legacy_oom_event_preserved(oom_report):
-    """Consumers keyed on the old `.oom` event span keep working."""
-    oom_events = [s for s in oom_report.session.spans
-                  if s.name.endswith(".oom")]
-    assert {e.name for e in oom_events} == {
-        "hyb/batched/double.oom", "hyb/pergroup/double.oom"}
-
-
 def test_ran_combos_not_in_skips(oom_report):
     ran = {e["name"] for e in oom_report.registry.entries}
     assert ran == {"crsd/batched/double", "crsd/pergroup/double"}

@@ -73,7 +73,7 @@ class TestProverCrash:
         # injector gone, but the runner stays demoted — and the
         # incident is attached only to the run that triggered it
         later = runner.run(rng.standard_normal(160))
-        assert runner._fused_state() is None
+        assert runner._executor.fused_state is False
         assert later.resilience is None
         assert len(runner.fused_incidents) == 1
 
@@ -102,7 +102,7 @@ class TestVerifyMismatch:
         assert report.requested == FUSED_RUNG
         assert report.verified is True
         assert report.attempts[0].outcome == "verify-failed"
-        assert runner._fused_demoted
+        assert runner._executor.fused_state is False
         # subsequent runs serve batched, still bit-identical
         again = runner.run(x)
         assert np.array_equal(again.y, ref.y)
@@ -118,7 +118,7 @@ class TestVerifyMismatch:
         run = runner.run(x)
         assert np.array_equal(run.y, ref.y)
         assert run.resilience is None
-        assert not runner._fused_demoted
+        assert runner._executor.fused_state
         assert runner.fused_incidents == []
 
 

@@ -6,6 +6,8 @@ reads by that buffer, not by the sub-plan's own slab sum.  Every shard
 of a split then runs fused, bit-identical to the batched engine; a
 shard the provers decline leaves a ``fused.uncertified`` event, and a
 crashed shard certification is an incident, never a silent decline.
+The same ladder behaviours are tabled over every CRSD runner, whole
+and sharded, in ``tests/gpu_kernels/test_engine_ladder.py``.
 """
 
 import dataclasses
@@ -13,7 +15,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-import repro.shard.executor as shard_mod
+import repro.gpu_kernels.crsd_runner as runner_mod
 from repro.analyze.bounds import check_bounds
 from repro.analyze.model import build_model
 from repro.analyze.report import AnalysisReport
@@ -63,7 +65,7 @@ class TestEveryShardFused:
         runner = ShardedSpMV(crsd, cert)
         with observe("sharded") as sess:
             run = runner.run(x)
-        assert all(runner._fused_states)
+        assert all(e.fused_state for e in runner._executors.values())
         assert [k.attrs["executor"] for k in sess.by_category("kernel")] \
             == ["fused"] * 4
         assert not [s for s in sess.spans if s.name.startswith("fused.")]
@@ -97,7 +99,7 @@ class TestShardFallbackEvents:
         x = np.random.default_rng(2).standard_normal(N)
         ref = batched_run(crsd, cert, x, monkeypatch)
         declined = FusedCertificate(ok=False, reasons=("declined",))
-        monkeypatch.setattr(shard_mod, "build_fused_state",
+        monkeypatch.setattr(runner_mod, "build_fused_state",
                             lambda *a, **kw: (None, declined))
         runner = ShardedSpMV(crsd, cert)
         with observe("declined") as sess:
@@ -128,13 +130,13 @@ class TestShardFallbackEvents:
         assert report.attempts[0].outcome == "fault"
         assert report.attempts[-1].outcome == "served"
         # only the crashed shard falls back; the others run fused
-        assert runner._fused_states[0] is False
-        assert all(runner._fused_states[1:])
+        states = [e.fused_state for e in runner._executors.values()]
+        assert states[0] is False and all(states[1:])
         assert_identical(run, ref)
         # the incident goes on one run only; the shard stays demoted
         again = runner.run(x)
         assert again.resilience is None
-        assert runner._fused_states[0] is False
+        assert runner._executors[0].fused_state is False
         assert_identical(again, ref)
 
 
@@ -149,18 +151,18 @@ class TestShardVerification:
         ref = batched_run(crsd, cert, x, monkeypatch)
         monkeypatch.setenv("REPRO_FUSED_VERIFY", "first")
         launches = []
-        real = shard_mod.launch_batched
+        real = runner_mod.launch_batched
 
         def counting(*args, **kwargs):
             launches.append(args[0])
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(shard_mod, "launch_batched", counting)
+        monkeypatch.setattr(runner_mod, "launch_batched", counting)
         runner = ShardedSpMV(crsd, cert)
         first = runner.run(x)
         assert len(launches) >= 4
-        assert runner._fused_verified == {0, 1, 2, 3}
-        assert all(runner._fused_states)
+        assert all(e.verified and e.fused_state
+                   for e in runner._executors.values())
         assert first.resilience is None and runner.fused_incidents == []
         assert_identical(first, ref)
         del launches[:]
@@ -190,8 +192,8 @@ class TestShardVerification:
         report = run.resilience
         assert report is not None and runner.fused_incidents == [report]
         assert report.attempts[0].outcome == "verify-failed"
-        assert runner._fused_states[1] is False
-        assert all(runner._fused_states[i] for i in (0, 2, 3))
+        states = [e.fused_state for e in runner._executors.values()]
+        assert states.pop(1) is False and all(states)
         again = runner.run(x)
         assert again.resilience is None
         assert_identical(again, ref)
