@@ -11,9 +11,10 @@ distinct devices, but only through a
 :func:`~repro.analyze.sharding.certify_shard_plan` certificate — an
 unprovable plan falls back to whole-matrix serving on the home device,
 never to uncertified shard execution.  Devices share one
-:class:`~repro.serve.cache.ShardCertificateStore`, so a plan is proven
-once cluster-wide and every later activation is a counted cross-device
-reuse.
+:class:`~repro.serve.cache.PatternStore`, so a pattern's CRSD layout is
+built, its fused plans certified and its shard plan proven once
+cluster-wide; every later certificate activation is a counted
+cross-device reuse.
 
 Split requests ship only the certified ``x`` halo intervals between
 devices (:class:`~repro.cluster.halo.HaloExchange` accounts the bytes
@@ -80,7 +81,7 @@ from repro.serve.admission import (
     ClusterAdmissionPolicy,
 )
 from repro.serve.batcher import BatchConfig
-from repro.serve.cache import PlanCache, ShardCertificateStore
+from repro.serve.cache import PatternStore, PlanCache
 from repro.serve.clock import FOREVER
 from repro.serve.engine import ServedResult, ServeEngine
 
@@ -192,6 +193,9 @@ class ClusterEngine:
         A :class:`~repro.serve.admission.ClusterAdmissionPolicy`
         enabling the cluster-wide front door (``None`` = per-device
         admission only).
+    ``store``
+        The :class:`~repro.serve.cache.PatternStore` every device's
+        plan cache shares (``None`` = a new one for this cluster).
     """
 
     report_schema = "repro-cluster-report/v1"
@@ -213,7 +217,7 @@ class ClusterEngine:
         split_ways: Optional[int] = None,
         cache_capacity: int = 64,
         vnodes: int = 64,
-        cert_store: Optional[ShardCertificateStore] = None,
+        store: Optional[PatternStore] = None,
         replicas: int = 1,
         hedge: Optional[HedgePolicy] = None,
         cluster_admission: Optional[ClusterAdmissionPolicy] = None,
@@ -236,8 +240,7 @@ class ClusterEngine:
         self.split_ways = split_ways
         self.replicas = int(replicas)
         self.hedge = hedge
-        self.cert_store = (cert_store if cert_store is not None
-                           else ShardCertificateStore())
+        self.store = store if store is not None else PatternStore()
         self.router = ClusterRouter(self.num_devices, vnodes=vnodes)
         self.halo = HaloExchange(precision)
         # kept so rejoined/added devices get identically-configured
@@ -293,7 +296,7 @@ class ClusterEngine:
             mrows=self.mrows, use_local_memory=self.use_local_memory,
             batch=self._batch, admission=self._admission_policy,
             cache=PlanCache(capacity=self._cache_capacity,
-                            cert_store=self.cert_store),
+                            store=self.store),
             prepare_cost_s=self._prepare_cost_s,
             size_scale=self._size_scale, keep_y=self.keep_y)
 
@@ -1056,7 +1059,7 @@ class ClusterEngine:
                 "split_dispatches": self.split_dispatches,
                 "split_declines": self.split_declines,
                 "halo": self.halo.to_dict(),
-                "cert_store": self.cert_store.to_dict(),
+                "cert_store": self.store.to_dict(),
                 "rebalances": self.rebalances,
                 "resilience": self.resilience_stats.to_dict(),
                 "admission_tier": (

@@ -16,6 +16,12 @@ The format stores two populations separately:
   and the scatter kernel then *overwrites* those rows' results, which
   both preserves the row's sequential floating-point order and keeps
   the diagonal codelets free of special cases.
+
+A build has a pattern half and a values half.  :class:`CRSDLayout`
+holds everything the pattern determines — the structure analysis, the
+scatter ELL index and the gather maps from canonical COO order into
+the two value arrays — and filling it with one matrix's values is a
+gather, so same-pattern matrices share one layout.
 """
 
 from __future__ import annotations
@@ -98,6 +104,99 @@ class CRSDBuildParams:
             raise ValueError("idle_fill_max_rows must be >= 0")
 
 
+def _readonly(a: np.ndarray) -> np.ndarray:
+    """``a`` itself when already read-only, else a read-only copy."""
+    if a.flags.writeable:
+        a = a.copy()
+        a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True, eq=False)
+class CRSDLayout:
+    """The pattern-only half of a CRSD build.
+
+    Everything :meth:`CRSDMatrix.from_coo` derives from the sparsity
+    pattern and the build parameters: the structure analysis (regions,
+    scatter rows), the slab size, the scatter ELL index arrays, and the
+    gather maps from canonical COO order into ``dia_val`` and
+    ``scatter_val``.  A same-pattern matrix with new values is then one
+    :meth:`fill` away from its CRSD form — the structure is analysed
+    once per pattern, as the paper's build-once/apply-many economics
+    assume.  Every array is read-only, so one layout can back any number
+    of matrices.
+    """
+
+    shape: Tuple[int, int]
+    params: CRSDBuildParams
+    analysis: StructureAnalysis
+    #: the canonical COO coordinates the layout was built for
+    rows: np.ndarray
+    cols: np.ndarray
+    #: slots of the flat ``dia_val`` slab
+    dia_size: int
+    #: ``dia_val[dia_pos] = vals[dia_src]``; other slots are fill zeros
+    dia_pos: np.ndarray
+    dia_src: np.ndarray
+    scatter_rowno: np.ndarray
+    scatter_colval: np.ndarray
+    scatter_occupancy: np.ndarray
+    #: ``scatter_val.ravel()[scatter_pos] = vals[scatter_src]``
+    scatter_pos: np.ndarray
+    scatter_src: np.ndarray
+
+    @property
+    def nnz(self) -> int:
+        return int(self.rows.size)
+
+    @classmethod
+    def from_coo(cls, coo: COOMatrix, params: CRSDBuildParams) -> "CRSDLayout":
+        """Analyse ``coo``'s pattern under ``params`` (values unused)."""
+        analysis = analyze_structure(
+            coo,
+            mrows=params.mrows,
+            idle_fill_max_rows=params.idle_fill_max_rows,
+            detect_scatter=params.detect_scatter,
+        )
+        for a in (analysis.offsets, analysis.presence,
+                  analysis.scatter_mask, analysis.scatter_rows):
+            a.flags.writeable = False
+        dia_pos, dia_src = _slab_map(coo, analysis)
+        rowno, colval, occ, scatter_pos, scatter_src = _scatter_map(
+            coo, analysis.scatter_rows)
+        return cls(
+            shape=coo.shape, params=params, analysis=analysis,
+            rows=_readonly(coo.rows), cols=_readonly(coo.cols),
+            dia_size=sum(r.stored_slots for r in analysis.regions),
+            dia_pos=_readonly(dia_pos), dia_src=_readonly(dia_src),
+            scatter_rowno=_readonly(rowno), scatter_colval=_readonly(colval),
+            scatter_occupancy=_readonly(occ),
+            scatter_pos=_readonly(scatter_pos),
+            scatter_src=_readonly(scatter_src),
+        )
+
+    def check(self, coo: COOMatrix) -> None:
+        """Raise :class:`ValueError` unless ``coo`` has this layout's
+        shape, nnz and coordinates."""
+        same = (coo.shape == self.shape and coo.nnz == self.nnz
+                and np.array_equal(coo.rows, self.rows)
+                and np.array_equal(coo.cols, self.cols))
+        if not same:
+            raise ValueError(
+                f"CRSD layout built for a {self.shape} pattern with "
+                f"{self.nnz} nonzeros does not match the {coo.shape} "
+                f"matrix with {coo.nnz} nonzeros")
+
+    def fill(self, vals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Fresh ``(dia_val, scatter_val)`` holding ``vals`` (canonical
+        COO order)."""
+        dia_val = np.zeros(self.dia_size, dtype=VALUE_DTYPE)
+        dia_val[self.dia_pos] = vals[self.dia_src]
+        scatter_val = np.zeros(self.scatter_colval.shape, dtype=VALUE_DTYPE)
+        scatter_val.reshape(-1)[self.scatter_pos] = vals[self.scatter_src]
+        return dia_val, scatter_val
+
+
 class CRSDMatrix(SparseFormat):
     """A matrix stored in CRSD format.
 
@@ -119,7 +218,7 @@ class CRSDMatrix(SparseFormat):
         scatter_val: np.ndarray,
         scatter_occupancy: np.ndarray,
         nnz: int,
-        analysis: Optional[StructureAnalysis] = None,
+        layout: Optional[CRSDLayout] = None,
     ):
         super().__init__(shape)
         self.params = params
@@ -130,7 +229,9 @@ class CRSDMatrix(SparseFormat):
         self.scatter_val = np.asarray(scatter_val, dtype=VALUE_DTYPE)
         self.scatter_occupancy = np.asarray(scatter_occupancy, dtype=bool)
         self._nnz = int(nnz)
-        self.analysis = analysis
+        #: the pattern layout this matrix was filled from (``None`` for
+        #: a matrix built from pre-computed arrays)
+        self.layout = layout
 
         expected = sum(r.stored_slots for r in self.regions)
         if self.dia_val.size != expected:
@@ -157,36 +258,48 @@ class CRSDMatrix(SparseFormat):
     # ------------------------------------------------------------------
     @classmethod
     def from_coo(
-        cls, coo: COOMatrix, params: Optional[CRSDBuildParams] = None, **kwargs
+        cls,
+        coo: COOMatrix,
+        params: Optional[CRSDBuildParams] = None,
+        *,
+        layout: Optional[CRSDLayout] = None,
+        **kwargs,
     ) -> "CRSDMatrix":
         """Store a COO matrix in CRSD format.
 
         Keyword arguments are forwarded to :class:`CRSDBuildParams`
         when ``params`` is not given, e.g. ``from_coo(coo, mrows=32)``.
+
+        ``layout`` is the :class:`CRSDLayout` of a matrix with the same
+        pattern: the structure analysis is skipped and ``coo``'s values
+        are gathered into the layout's slab.  ``ValueError`` if ``coo``
+        differs from the layout in shape, nnz or coordinates (or
+        ``params`` from its build parameters).
         """
-        if params is None:
-            params = CRSDBuildParams(**kwargs)
-        elif kwargs:
+        if kwargs and params is not None:
             raise TypeError("pass either params or keyword tunables, not both")
-        analysis = analyze_structure(
-            coo,
-            mrows=params.mrows,
-            idle_fill_max_rows=params.idle_fill_max_rows,
-            detect_scatter=params.detect_scatter,
-        )
-        dia_val = _fill_slab(coo, analysis)
-        rowno, colval, val, occ = _build_scatter_ell(coo, analysis.scatter_rows)
+        if layout is None:
+            layout = CRSDLayout.from_coo(
+                coo, params if params is not None else CRSDBuildParams(**kwargs))
+        else:
+            if kwargs:
+                raise TypeError("a layout fixes the build parameters")
+            if params is not None and params != layout.params:
+                raise ValueError(
+                    f"params {params} disagree with the layout's {layout.params}")
+            layout.check(coo)
+        dia_val, scatter_val = layout.fill(coo.vals)
         return cls(
             shape=coo.shape,
-            params=params,
-            regions=analysis.regions,
+            params=layout.params,
+            regions=layout.analysis.regions,
             dia_val=dia_val,
-            scatter_rowno=rowno,
-            scatter_colval=colval,
-            scatter_val=val,
-            scatter_occupancy=occ,
+            scatter_rowno=layout.scatter_rowno,
+            scatter_colval=layout.scatter_colval,
+            scatter_val=scatter_val,
+            scatter_occupancy=layout.scatter_occupancy,
             nnz=coo.nnz,
-            analysis=analysis,
+            layout=layout,
         )
 
     @classmethod
@@ -207,6 +320,11 @@ class CRSDMatrix(SparseFormat):
     @property
     def mrows(self) -> int:
         return self.params.mrows
+
+    @property
+    def analysis(self) -> Optional[StructureAnalysis]:
+        """The structure analysis behind :attr:`layout` (if any)."""
+        return self.layout.analysis if self.layout is not None else None
 
     @property
     def num_scatter_rows(self) -> int:
@@ -430,75 +548,71 @@ class CRSDMatrix(SparseFormat):
         y[self.scatter_rowno.astype(np.int64)] = vals.sum(axis=1)
 
 
-def _fill_slab(coo: COOMatrix, analysis: StructureAnalysis) -> np.ndarray:
-    """Place every non-scatter entry into the flat ``crsd_dia_val`` slab."""
-    regions = analysis.regions
-    total = sum(r.stored_slots for r in regions)
-    slab = np.zeros(total, dtype=VALUE_DTYPE)
-    if coo.nnz == 0 or not regions:
-        return slab
+def _slab_map(
+    coo: COOMatrix, analysis: StructureAnalysis
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(positions, sources)``: the ``crsd_dia_val`` slot of every
+    non-scatter entry and its index in canonical COO order."""
+    pos_l: List[np.ndarray] = []
+    src_l: List[np.ndarray] = []
+    if coo.nnz and analysis.regions:
+        src = np.flatnonzero(~analysis.scatter_mask)
+        rows = coo.rows.astype(np.int64)[src]
+        offs = coo.cols.astype(np.int64)[src] - rows
 
-    keep = ~analysis.scatter_mask
-    rows = coo.rows.astype(np.int64)[keep]
-    cols = coo.cols.astype(np.int64)[keep]
-    vals = coo.vals[keep]
-    offs = cols - rows
+        # sort the diagonal entry stream by (offset, row) for slice lookup
+        order = np.lexsort((rows, offs))
+        src, rows, offs = src[order], rows[order], offs[order]
 
-    # sort the diagonal entry stream by (offset, row) for slice lookup
-    order = np.lexsort((rows, offs))
-    rows, offs, vals = rows[order], offs[order], vals[order]
-
-    base = 0
-    for region in regions:
-        mrows = region.mrows
-        for d, off in enumerate(region.pattern.offsets):
-            lo = np.searchsorted(offs, off, side="left")
-            hi = np.searchsorted(offs, off, side="right")
-            r_lo = lo + np.searchsorted(rows[lo:hi], region.start_row, side="left")
-            r_hi = lo + np.searchsorted(rows[lo:hi], region.end_row, side="left")
-            if r_hi > r_lo:
-                rr = rows[r_lo:r_hi] - region.start_row
-                seg_local = rr // mrows
-                pos = (
-                    base
-                    + seg_local * region.nnz_per_segment
-                    + d * mrows
-                    + rr % mrows
-                )
-                slab[pos] = vals[r_lo:r_hi]
-        base += region.stored_slots
-    return slab
+        base = 0
+        for region in analysis.regions:
+            mrows = region.mrows
+            for d, off in enumerate(region.pattern.offsets):
+                lo = np.searchsorted(offs, off, side="left")
+                hi = np.searchsorted(offs, off, side="right")
+                r_lo = lo + np.searchsorted(rows[lo:hi], region.start_row, side="left")
+                r_hi = lo + np.searchsorted(rows[lo:hi], region.end_row, side="left")
+                if r_hi > r_lo:
+                    rr = rows[r_lo:r_hi] - region.start_row
+                    pos_l.append(
+                        base
+                        + rr // mrows * region.nnz_per_segment
+                        + d * mrows
+                        + rr % mrows
+                    )
+                    src_l.append(src[r_lo:r_hi])
+            base += region.stored_slots
+    if not pos_l:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    return np.concatenate(pos_l), np.concatenate(src_l)
 
 
-def _build_scatter_ell(
+def _scatter_map(
     coo: COOMatrix, scatter_rows: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """ELL side structure holding the *complete* scatter rows."""
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The ELL side structure holding the *complete* scatter rows:
+    ``(rowno, colval, occupancy, positions, sources)``, where
+    ``positions`` index the flattened ``(rows, width)`` value array and
+    ``sources`` the canonical COO order."""
     if scatter_rows.size == 0:
         z = np.zeros((0, 0))
-        return (
-            np.empty(0, dtype=INDEX_DTYPE),
-            z.astype(INDEX_DTYPE),
-            z.astype(VALUE_DTYPE),
-            z.astype(bool),
-        )
-    member = np.isin(coo.rows.astype(np.int64), scatter_rows)
-    rows = coo.rows.astype(np.int64)[member]
-    cols = coo.cols.astype(np.int64)[member]
-    vals = coo.vals[member]
+        e = np.empty(0, dtype=np.int64)
+        return (np.empty(0, dtype=INDEX_DTYPE), z.astype(INDEX_DTYPE),
+                z.astype(bool), e, e)
+    src = np.flatnonzero(np.isin(coo.rows.astype(np.int64), scatter_rows))
+    rows = coo.rows.astype(np.int64)[src]
     local = np.searchsorted(scatter_rows, rows)
     lengths = np.bincount(local, minlength=scatter_rows.size)
     width = int(lengths.max())
     colval = np.zeros((scatter_rows.size, width), dtype=INDEX_DTYPE)
-    val = np.zeros((scatter_rows.size, width), dtype=VALUE_DTYPE)
     occ = np.zeros((scatter_rows.size, width), dtype=bool)
     starts = np.zeros(scatter_rows.size, dtype=np.int64)
     np.cumsum(lengths[:-1], out=starts[1:])
     within = np.arange(rows.size) - starts[local]
-    colval[local, within] = cols
-    val[local, within] = vals
+    colval[local, within] = coo.cols[src]
     occ[local, within] = True
-    return scatter_rows.astype(INDEX_DTYPE), colval, val, occ
+    return (scatter_rows.astype(INDEX_DTYPE), colval, occ,
+            local * width + within, src)
 
 
 def _fmt(v: float) -> str:

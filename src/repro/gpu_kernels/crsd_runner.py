@@ -48,7 +48,11 @@ from repro.codegen.plan import build_plan
 from repro.codegen.python_codelet import generate_python_kernel
 from repro.core.crsd import CRSDMatrix
 from repro.gpu_kernels.base import GPUSpMV, SpMVRun
-from repro.gpu_kernels.fused import FUSED_KERNEL_NAME, build_fused_state
+from repro.gpu_kernels.fused import (
+    FUSED_KERNEL_NAME,
+    FusedCertificate,
+    build_fused_state,
+)
 from repro.obs import recorder as _obs
 from repro.obs.recorder import maybe_span
 from repro.ocl.executor import (
@@ -145,6 +149,12 @@ class PlanExecutor:
     template:
         A same-pattern donor executor whose codelets — and, on the same
         device and precision, fused state — are adopted, not rebuilt.
+    fused_slot:
+        Where this plan's certified fused outcome is shared (a
+        :class:`~repro.serve.cache.StoreSlot`, or ``None``): asked
+        before certifying, and given the state or clean decline a
+        certification produced.  Crashes, demotions and verification
+        stay with this executor.
     strict:
         Generate (and analyze) the codelets now.
     """
@@ -152,7 +162,7 @@ class PlanExecutor:
     def __init__(self, plan, name: str, device, precision: str,
                  scatter_colval, scatter_rowno, dia_val_size=None,
                  labels=None, template: "PlanExecutor" = None,
-                 strict: bool = False):
+                 fused_slot=None, strict: bool = False):
         self.plan = plan
         self.name = name
         self.device = device
@@ -164,6 +174,7 @@ class PlanExecutor:
         # incident messages name the labels first, e.g. "shard 2 "
         self._prefix = "".join(f"{k} {v} " for k, v in self.labels.items())
         self._template = template
+        self._fused_slot = fused_slot
         self._kernel = None
         if strict and template is None:
             self._kernel = generate_python_kernel(plan, strict=True)
@@ -210,36 +221,42 @@ class PlanExecutor:
 
     # ------------------------------------------------------------------
     def _build_fused_state(self):
-        """Certify the plan (or adopt the donor's state); ``False`` when
-        the provers decline or crash."""
+        """Certify the plan (or adopt the donor's or the shared state);
+        ``False`` when the provers decline or crash."""
         tpl = self._template
         if (tpl is not None and tpl.fused_state is not None
                 and tpl.precision == self.precision
                 and tpl.device == self.device):
             return tpl.fused_state
-        try:
-            if _flt.ACTIVE is not None:
-                _flt.ACTIVE.on_phase(f"{self.name}.fused_certify")
-            state, cert = build_fused_state(
-                self.plan, self.device, self.precision,
-                scatter_colval=self._scatter_colval,
-                scatter_rowno=self._scatter_rowno,
-                dia_val_size=self._dia_val_size)
-        except Exception as exc:
-            # a *crashed* prover is an incident, not a clean decline
-            self._demote("fault", error=exc,
-                         message="fused certification raised; "
-                                 "demoted to batched")
-            return False
-        if state is None:
+        slot = self._fused_slot
+        outcome = slot.get() if slot is not None else None
+        if outcome is None:
+            try:
+                if _flt.ACTIVE is not None:
+                    _flt.ACTIVE.on_phase(f"{self.name}.fused_certify")
+                state, cert = build_fused_state(
+                    self.plan, self.device, self.precision,
+                    scatter_colval=self._scatter_colval,
+                    scatter_rowno=self._scatter_rowno,
+                    dia_val_size=self._dia_val_size)
+            except Exception as exc:
+                # a *crashed* prover is an incident, not a clean decline
+                self._demote("fault", error=exc,
+                             message="fused certification raised; "
+                                     "demoted to batched")
+                return False
+            outcome = state if state is not None else cert
+            if slot is not None:
+                slot.put(outcome)
+        if isinstance(outcome, FusedCertificate):
             # cleanly not certifiable: fall back, leaving an event
             sess = _obs.ACTIVE
             if sess is not None:
                 sess.record_event("fused.uncertified", category="resilience",
                                   kernel=self.name,
-                                  reasons=list(cert.reasons), **self.labels)
+                                  reasons=list(outcome.reasons), **self.labels)
             return False
-        return state
+        return outcome
 
     def _demote(self, outcome: str, error=None, message: str = "") -> None:
         """Run batched from now on and file the IncidentReport, with its
@@ -367,13 +384,17 @@ class CrsdSpMV(GPUSpMV):
         also match — the fused certificate/kernel/trace are pure
         functions of the sparsity pattern, so they are adopted instead
         of rebuilt; only the value buffers are per matrix.
+    fused_slot:
+        Where the plan's fused outcome is shared across runners (see
+        :class:`PlanExecutor`); the serve plan cache passes a slot of
+        its engine's :class:`~repro.serve.cache.PatternStore`.
     """
 
     name = "crsd"
 
     def __init__(self, matrix: CRSDMatrix, use_local_memory: bool = True,
                  strict: bool = False, template: "CrsdSpMV" = None,
-                 **kwargs):
+                 fused_slot=None, **kwargs):
         kwargs.setdefault("local_size", matrix.mrows)
         super().__init__(**kwargs)
         self.matrix = matrix
@@ -384,7 +405,7 @@ class CrsdSpMV(GPUSpMV):
             template = None
             self.plan = build_plan(matrix,
                                    use_local_memory=use_local_memory)
-        self._init_executor(template, strict)
+        self._init_executor(template, fused_slot, strict)
 
     @property
     def nrows(self) -> int:
@@ -394,7 +415,7 @@ class CrsdSpMV(GPUSpMV):
     def ncols(self) -> int:
         return self.matrix.ncols
 
-    def _init_executor(self, template, strict: bool) -> None:
+    def _init_executor(self, template, fused_slot, strict: bool) -> None:
         """Set up the plan's :class:`PlanExecutor`, sharing the adopted
         same-pattern donor's (``template``, or ``None``) codelets and
         fused state."""
@@ -402,7 +423,7 @@ class CrsdSpMV(GPUSpMV):
             self.plan, self.name, self.device, self.precision,
             self.matrix.scatter_colval, self.matrix.scatter_rowno,
             template=template._executor if template is not None else None,
-            strict=strict)
+            fused_slot=fused_slot, strict=strict)
         #: IncidentReports filed by fused demotions, newest last
         self.fused_incidents = []
 
@@ -492,7 +513,7 @@ class CrsdSpMM(CrsdSpMV):
     def __init__(self, matrix: CRSDMatrix, nvec: int,
                  use_local_memory: bool | None = None,
                  strict: bool = False, template: "CrsdSpMM" = None,
-                 **kwargs):
+                 fused_slot=None, **kwargs):
         kwargs.setdefault("local_size", matrix.mrows)
         GPUSpMV.__init__(self, **kwargs)  # skip CrsdSpMV.__init__
         self.matrix = matrix
@@ -516,7 +537,7 @@ class CrsdSpMM(CrsdSpMV):
                 use_local_memory=True if use_local_memory is None else use_local_memory,
                 nvec=self.nvec,
             )
-        self._init_executor(template, strict)
+        self._init_executor(template, fused_slot, strict)
 
     def run(self, x: np.ndarray, trace: bool = True) -> SpMVRun:
         """Compute ``Y = A @ X`` for ``X`` of shape ``(ncols, nvec)``."""

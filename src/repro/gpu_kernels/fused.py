@@ -38,7 +38,8 @@ unchanged.
 :class:`FusedKernel` is deliberately **value-free**: it bakes only the
 plan and the scatter *index* arrays (pattern data) and takes the value
 buffers per call, so one compiled fused callable is shared across
-same-pattern matrices through the serve plan cache's pattern index.
+same-pattern matrices (and, through the engine's
+:class:`~repro.serve.cache.PatternStore`, across devices).
 """
 
 from __future__ import annotations

@@ -49,9 +49,9 @@ from repro.serve.admission import (
 from repro.serve.batcher import BatchConfig, MicroBatcher, Request
 from repro.serve.cache import (
     CacheStats,
+    PatternStore,
     PlanCache,
     PlanEntry,
-    ShardCertificateStore,
     default_cache,
     reset_default_cache,
 )
@@ -82,13 +82,13 @@ __all__ = [
     "LoadReport",
     "MicroBatcher",
     "OVERFLOW_POLICIES",
+    "PatternStore",
     "PlanCache",
     "PlanEntry",
     "Request",
     "ServeEngine",
     "ServeOverloaded",
     "ServedResult",
-    "ShardCertificateStore",
     "SimulatedClock",
     "append_serve_trajectory",
     "chaos_trajectory_path",

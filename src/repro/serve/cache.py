@@ -14,6 +14,18 @@ local-memory / ``nvec``), autotune results and ``auto_format``
 decisions.  The cache is LRU-bounded on *entries* (matrices); evicting
 an entry drops every prepared artifact with it.
 
+What depends only on the sparsity *pattern* lives one level up, in the
+engine's :class:`PatternStore`: the :class:`~repro.core.crsd.CRSDLayout`
+each CRSD build is filled from (so a same-pattern matrix costs one value
+gather, not a structure analysis), the certified fused outcome of each
+runner plan, and the shard certificates.  A cluster passes one store to
+every device's cache, so each artifact is made once per engine; a
+standalone cache keeps a private store and prunes it on eviction.
+Everything a *device* does stays in its own cache: the runners and
+their value buffers, the hit/miss counters (which price preparation
+into simulated service time), the same-pattern donor runners, and each
+runner's fused crashes, verification and demotions.
+
 Hit/miss/eviction counters live in :class:`CacheStats` and are also
 emitted as :mod:`repro.obs` events (category ``serve``) when a profile
 session is active, so serving runs show cache behaviour in the same
@@ -31,9 +43,8 @@ from repro.core.serialize import MatrixFingerprints, ingest
 from repro.obs import recorder as _obs
 from repro.ocl.device import DeviceSpec, TESLA_C2050
 
-__all__ = ["CacheStats", "PlanEntry", "PlanCache",
-           "ShardCertificateStore", "default_cache",
-           "reset_default_cache"]
+__all__ = ["CacheStats", "PlanEntry", "PlanCache", "PatternStore",
+           "StoreSlot", "default_cache", "reset_default_cache"]
 
 
 @dataclass
@@ -47,8 +58,8 @@ class CacheStats:
     #: codelets and fused state (only the value buffers were rebuilt)
     pattern_reuses: int = 0
     #: shard-certificate hits served from a *shared*
-    #: :class:`ShardCertificateStore` where the certificate was proven
-    #: by a different cache (another cluster device)
+    #: :class:`PatternStore` where the certificate was proven by a
+    #: different cache (another cluster device)
     cert_reuses: int = 0
 
     @property
@@ -72,68 +83,112 @@ class CacheStats:
         }
 
 
-#: distinguishes the caches sharing one certificate store (never
-#: recycled, unlike ``id()``)
+#: distinguishes the caches sharing one pattern store (never recycled,
+#: unlike ``id()``)
 _CACHE_TOKENS = itertools.count()
 
+#: the kinds of entry a :class:`PatternStore` holds
+STORE_KINDS = ("certificate", "layout", "fused")
 
-class ShardCertificateStore:
-    """Shared, read-only-after-insert map of shard certificates.
 
-    Certification is pure in the *pattern*: the provers never read
-    matrix values, so a certificate proven once is valid for every
-    same-pattern matrix on every device.  Cluster devices therefore
-    share one store — keyed by (pattern fingerprint, row-block
-    boundaries, execution config) — and the first cache to prove a
-    plan publishes it; later caches (usually other devices) get a hit
-    and count it as cross-device reuse.  Entries are never mutated
-    after insert; only a cache that privately owns its store may
-    :meth:`prune` orphans on eviction.
+class PatternStore:
+    """Shared, read-only-after-insert map of pattern-pure artifacts.
+
+    Everything here is a function of the sparsity *pattern* and the
+    build or execution config, never of matrix values, so an artifact
+    made once is valid for every same-pattern matrix on every device.
+    Three kinds of entry, each keyed by a tuple whose first element is
+    the pattern fingerprint:
+
+    - ``"certificate"``: shard certificates, keyed by (pattern,
+      row-block boundaries, execution config);
+    - ``"layout"``: :class:`~repro.core.crsd.CRSDLayout` builds, keyed
+      by (pattern, build params);
+    - ``"fused"``: certified fused outcomes — a
+      :class:`~repro.gpu_kernels.fused.FusedState` or a clean decline
+      certificate — keyed by (pattern, build params, device, precision,
+      local memory, ``nvec``), plus the shard plan and shard index for
+      a shard.
+
+    The first cache to make an artifact publishes it; later caches
+    (usually other devices) get a hit.  Entries are never mutated after
+    insert; only a cache that privately owns its store may
+    :meth:`prune` orphans on eviction.  One store lives per engine:
+    a :class:`~repro.cluster.engine.ClusterEngine` shares one across
+    its devices, a standalone :class:`PlanCache` keeps its own.
     """
 
     def __init__(self):
-        #: key -> (certificate, token of the cache that proved it)
-        self._certs: Dict[Tuple, Tuple[Any, int]] = {}
+        #: kind -> key -> (artifact, token of the cache that made it)
+        self._entries: Dict[str, Dict[Tuple, Tuple[Any, int]]] = {
+            kind: {} for kind in STORE_KINDS}
+        #: certificate hits proven by another cache
         self.cross_device_reuses = 0
 
-    def __len__(self) -> int:
-        return len(self._certs)
+    def count(self, kind: str) -> int:
+        """Entries of ``kind`` held."""
+        return len(self._entries[kind])
 
-    def get(self, key: Tuple, token: int):
-        """The certificate under ``key`` (or ``None``) plus whether the
-        hit crossed caches — proven by a cache other than ``token``."""
-        rec = self._certs.get(key)
+    def get(self, kind: str, key: Tuple, token: int):
+        """The ``kind`` artifact under ``key`` (or ``None``) plus whether
+        the hit crossed caches — made by a cache other than ``token``."""
+        rec = self._entries[kind].get(key)
         if rec is None:
             return None, False
-        cert, owner = rec
+        value, owner = rec
         cross = owner != token
-        if cross:
+        if cross and kind == "certificate":
             self.cross_device_reuses += 1
-        return cert, cross
+        return value, cross
 
-    def put(self, key: Tuple, cert, token: int) -> None:
-        """Publish ``cert`` under ``key`` (first prover wins; the store
+    def put(self, kind: str, key: Tuple, value, token: int) -> None:
+        """Publish ``value`` under ``key`` (first writer wins; the store
         is read-only after insert)."""
-        self._certs.setdefault(key, (cert, token))
+        self._entries[kind].setdefault(key, (value, token))
 
     def prune(self, live_patterns: Iterable[str]) -> None:
-        """Drop certificates whose pattern is not in ``live_patterns``
+        """Drop entries whose pattern is not in ``live_patterns``
         (private per-cache stores only — shared stores are never
         pruned, other devices may still hold the pattern)."""
         live = set(live_patterns)
-        self._certs = {k: v for k, v in self._certs.items()
-                       if k[0] in live}
+        for kind, entries in self._entries.items():
+            self._entries[kind] = {k: v for k, v in entries.items()
+                                   if k[0] in live}
 
     def clear(self) -> None:
-        """Drop every certificate (private-store reset)."""
-        self._certs.clear()
+        """Drop every entry (private-store reset)."""
+        for entries in self._entries.values():
+            entries.clear()
 
     def to_dict(self) -> Dict[str, Any]:
-        """Residency and reuse counters as a JSON-safe dict."""
+        """Certificate residency and reuse counters, JSON-safe."""
         return {
-            "certificates": len(self._certs),
+            "certificates": self.count("certificate"),
             "cross_device_reuses": self.cross_device_reuses,
         }
+
+
+@dataclass(frozen=True)
+class StoreSlot:
+    """One key of a :class:`PatternStore`, bound to the asking cache.
+
+    A runner's plan executor holds one for its fused outcome: it asks
+    the slot before certifying and publishes what it proved, without
+    knowing the key.
+    """
+
+    store: PatternStore
+    kind: str
+    key: Tuple
+    token: int
+
+    def get(self):
+        """The published artifact, or ``None``."""
+        return self.store.get(self.kind, self.key, self.token)[0]
+
+    def put(self, value) -> None:
+        """Publish ``value`` (a no-op when already published)."""
+        self.store.put(self.kind, self.key, value, self.token)
 
 
 class PlanEntry:
@@ -171,10 +226,6 @@ class PlanEntry:
     def num_runners(self) -> int:
         return len(self._runners)
 
-    def crsd(self, mrows: int):
-        """The CRSD build for ``mrows`` (or ``None`` if not built)."""
-        return self._crsd.get(int(mrows))
-
 
 class PlanCache:
     """Bounded LRU cache of :class:`PlanEntry` objects.
@@ -184,10 +235,14 @@ class PlanCache:
     capacity:
         Maximum number of matrix entries kept; the least recently used
         entry (and all its prepared runners) is evicted beyond that.
+    store:
+        The :class:`PatternStore` of the owning engine (a cluster
+        passes one store to every device's cache); by default the
+        cache keeps a private one.
     """
 
     def __init__(self, capacity: int = 16,
-                 cert_store: Optional[ShardCertificateStore] = None):
+                 store: Optional[PatternStore] = None):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
@@ -195,14 +250,13 @@ class PlanCache:
         #: (pattern fp, runner key) -> donor runner whose plan/codelets
         #: a same-pattern new-values matrix adopts instead of rebuilding
         self._pattern_runners: Dict[Tuple, Any] = {}
-        #: shard certificates are pattern-keyed (the provers never read
-        #: values) and live in a :class:`ShardCertificateStore` — a
-        #: private one per cache by default, or a shared one passed by
-        #: the cluster so devices inherit each other's proofs
-        self._private_store = cert_store is None
-        self.cert_store = (cert_store if cert_store is not None
-                           else ShardCertificateStore())
-        self._cert_token = next(_CACHE_TOKENS)
+        #: CRSD layouts, fused outcomes and shard certificates are
+        #: pattern-keyed and live in a :class:`PatternStore` — a
+        #: private one per cache by default, or the one the cluster
+        #: shares so devices inherit each other's builds and proofs
+        self._private_store = store is None
+        self.store = store if store is not None else PatternStore()
+        self._token = next(_CACHE_TOKENS)
         self.stats = CacheStats()
 
     # ------------------------------------------------------------------
@@ -220,12 +274,12 @@ class PlanCache:
         return tuple(self._entries)
 
     def clear(self) -> None:
-        """Drop every entry (counters are kept; a shared certificate
-        store is left alone — other devices may still use it)."""
+        """Drop every entry (counters are kept; a shared pattern store
+        is left alone — other devices may still use it)."""
         self._entries.clear()
         self._pattern_runners.clear()
         if self._private_store:
-            self.cert_store.clear()
+            self.store.clear()
 
     def entry(self, coo, fingerprints: MatrixFingerprints) -> PlanEntry:
         """The (possibly new) entry for an ingested matrix, LRU-touched.
@@ -260,11 +314,11 @@ class PlanCache:
             self._event("plan_cache.evict", fingerprint=fp,
                         runners=entry.num_runners)
         if evicted and self._private_store:
-            # shard certificates live while any resident entry still
+            # pattern artifacts live while any resident entry still
             # shares the pattern; prune the orphans with the eviction
             # (shared stores are never pruned: other devices' entries
             # may still reference the pattern)
-            self.cert_store.prune(
+            self.store.prune(
                 e.pattern_fingerprint for e in self._entries.values())
 
     # ------------------------------------------------------------------
@@ -309,7 +363,6 @@ class PlanCache:
     ):
         """:meth:`runner` for an already-resolved entry (the serving
         engine's hot path — no re-fingerprinting per launch)."""
-        from repro.core.crsd import CRSDMatrix, compatible_wavefront
         from repro.gpu_kernels.crsd_runner import CrsdSpMM, CrsdSpMV
 
         key = (device, precision, bool(use_local_memory),
@@ -319,12 +372,12 @@ class PlanCache:
             self._hit("runner", entry.fingerprint, nvec=nvec)
             return runner
         self._miss("runner", entry.fingerprint, nvec=nvec)
-        crsd = entry._crsd.get(int(mrows))
-        if crsd is None:
-            crsd = CRSDMatrix.from_coo(
-                entry.coo, mrows=mrows,
-                wavefront_size=compatible_wavefront(mrows))
-            entry._crsd[int(mrows)] = crsd
+        crsd = self._crsd_for(entry, mrows)
+        # the fused outcome is shared through the store, keyed like the
+        # runner but by pattern (and the carrier's build params)
+        fused = StoreSlot(self.store, "fused",
+                          (entry.pattern_fingerprint, crsd.params) + key,
+                          self._token)
         # same-pattern donor: a matrix with the identical sparsity
         # structure but different values already prepared this runner
         # configuration — adopt its plan, codelets and fused state
@@ -333,10 +386,11 @@ class PlanCache:
         if nvec is None:
             runner = CrsdSpMV(crsd, device=device, precision=precision,
                               use_local_memory=use_local_memory,
-                              template=template)
+                              template=template, fused_slot=fused)
         else:
             runner = CrsdSpMM(crsd, nvec=int(nvec), device=device,
-                              precision=precision, template=template)
+                              precision=precision, template=template,
+                              fused_slot=fused)
         if template is not None:
             self.stats.pattern_reuses += 1
             self._event("plan_cache.pattern_reuse",
@@ -365,7 +419,7 @@ class PlanCache:
         :func:`repro.analyze.sharding.certify_shard_plan` over it,
         memoising the resulting
         :class:`~repro.analyze.sharding.ShardCertificate` in the
-        :class:`ShardCertificateStore` under the *pattern* fingerprint
+        :class:`PatternStore` under the *pattern* fingerprint
         and boundary rows — the provers never read matrix values, so a
         same-pattern new-values matrix (the serving steady state)
         inherits the certificate, and cluster devices sharing the store
@@ -392,16 +446,12 @@ class PlanCache:
         """:meth:`shard_certificate` for an already-resolved entry
         (the cluster's hot path — no re-fingerprinting)."""
         from repro.analyze.sharding import certify_shard_plan
-        from repro.shard.plan import ShardPlanner, auto_boundaries
+        from repro.shard.plan import ShardPlanner
 
-        if boundaries is None:
-            cuts = auto_boundaries(int(entry.coo.nrows), int(mrows),
-                                   int(num_shards))
-        else:
-            cuts = [int(b) for b in boundaries]
-        key = (entry.pattern_fingerprint, tuple(cuts), int(num_shards),
+        cuts = self._shard_cuts(entry, mrows, num_shards, boundaries)
+        key = (entry.pattern_fingerprint, cuts, int(num_shards),
                device, precision, int(mrows), bool(use_local_memory))
-        cert, cross = self.cert_store.get(key, self._cert_token)
+        cert, cross = self.store.get("certificate", key, self._token)
         if cert is not None:
             if cross:
                 self.stats.cert_reuses += 1
@@ -416,7 +466,7 @@ class PlanCache:
         cert = certify_shard_plan(
             crsd, shard_plan, device=device, precision=precision,
             use_local_memory=use_local_memory)
-        self.cert_store.put(key, cert, self._cert_token)
+        self.store.put("certificate", key, cert, self._token)
         return cert
 
     def shard_runner_for(
@@ -459,23 +509,54 @@ class PlanCache:
                 + ("; ".join(cert.reasons) or "no certificate"))
         self._miss("shard_runner", entry.fingerprint,
                    shard=int(shard_index))
+        crsd = self._crsd_for(entry, mrows)
+        fused = StoreSlot(
+            self.store, "fused",
+            (entry.pattern_fingerprint, crsd.params) + key
+            + (self._shard_cuts(entry, mrows, num_shards),), self._token)
         runner = ShardedSpMV(
-            self._crsd_for(entry, mrows), cert,
-            shards=(int(shard_index),), device=device,
-            precision=precision)
+            crsd, cert, shards=(int(shard_index),), device=device,
+            precision=precision, fused_slots={int(shard_index): fused})
         runner.prepare()
         entry._runners[key] = runner
         return runner
 
+    @staticmethod
+    def _shard_cuts(entry: PlanEntry, mrows: int, num_shards: int,
+                    boundaries: Optional[Sequence[int]] = None
+                    ) -> Tuple[int, ...]:
+        """The row-block boundaries of a split (default: the
+        alignment-quantised even split)."""
+        from repro.shard.plan import auto_boundaries
+
+        if boundaries is None:
+            boundaries = auto_boundaries(int(entry.coo.nrows), int(mrows),
+                                         int(num_shards))
+        return tuple(int(b) for b in boundaries)
+
     def _crsd_for(self, entry: PlanEntry, mrows: int):
-        """The (possibly new) CRSD build of ``entry`` for ``mrows``."""
-        from repro.core.crsd import CRSDMatrix, compatible_wavefront
+        """The (possibly new) CRSD build of ``entry`` for ``mrows``.
+
+        The pattern's :class:`~repro.core.crsd.CRSDLayout` comes from
+        the store, so only the first same-pattern matrix (on any device
+        sharing the store) analyses the structure; the rest gather
+        their values into it.
+        """
+        from repro.core.crsd import (
+            CRSDBuildParams,
+            CRSDMatrix,
+            compatible_wavefront,
+        )
 
         crsd = entry._crsd.get(int(mrows))
         if crsd is None:
-            crsd = CRSDMatrix.from_coo(
-                entry.coo, mrows=mrows,
-                wavefront_size=compatible_wavefront(mrows))
+            params = CRSDBuildParams(
+                mrows=int(mrows), wavefront_size=compatible_wavefront(mrows))
+            key = (entry.pattern_fingerprint, params)
+            layout, _ = self.store.get("layout", key, self._token)
+            crsd = CRSDMatrix.from_coo(entry.coo, params, layout=layout)
+            if layout is None:
+                self.store.put("layout", key, crsd.layout, self._token)
             entry._crsd[int(mrows)] = crsd
         return crsd
 

@@ -46,6 +46,7 @@ import numpy as np
 from repro.core.serialize import as_ingested
 from repro.obs.recorder import maybe_span
 from repro.ocl.device import DeviceSpec, TESLA_C2050
+from repro.ocl.trace import KernelTrace
 from repro.perf.costmodel import predict_gpu_time
 from repro.serve.admission import AdmissionController, AdmissionPolicy
 from repro.serve.batcher import BatchConfig, MicroBatcher, Request
@@ -53,6 +54,9 @@ from repro.serve.cache import PlanCache
 from repro.serve.clock import FOREVER, SimulatedClock
 
 __all__ = ["Engine", "ServeEngine", "ServedResult"]
+
+#: the counters of a KernelTrace, summed into ``counter_totals``
+_TRACE_FIELDS = tuple(f.name for f in dataclasses.fields(KernelTrace))
 
 
 @runtime_checkable
@@ -449,8 +453,9 @@ class ServeEngine:
             * self.service_scale
 
     def _account(self, trace) -> None:
-        for k, v in dataclasses.asdict(trace).items():
-            self.counter_totals[k] = self.counter_totals.get(k, 0) + v
+        totals = self.counter_totals
+        for k in _TRACE_FIELDS:
+            totals[k] = totals.get(k, 0) + getattr(trace, k)
 
     def _execute_spmm(self, group: List[Request], now: float,
                       drained: List[ServedResult]) -> float:
@@ -559,17 +564,7 @@ class ServeEngine:
             # not exist in the cache yet — build (and memoise) it here
             # rather than silently under-billing the launch overhead of
             # scatter matrices as a single launch
-            crsd_like = req.entry.crsd(self.mrows)
-            if crsd_like is None:
-                from repro.core.crsd import (
-                    CRSDMatrix,
-                    compatible_wavefront,
-                )
-
-                crsd_like = CRSDMatrix.from_coo(
-                    req.entry.coo, mrows=self.mrows,
-                    wavefront_size=compatible_wavefront(self.mrows))
-                req.entry._crsd[int(self.mrows)] = crsd_like
+            crsd_like = self.cache._crsd_for(req.entry, self.mrows)
             if crsd_like.num_scatter_rows:
                 launches = 2
         seconds = predict_gpu_time(

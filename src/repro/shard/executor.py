@@ -30,7 +30,7 @@ counters match ``certificate.per_shard_traces`` counter for counter.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -56,12 +56,19 @@ class ShardedSpMV(GPUSpMV):
         A passing :class:`~repro.analyze.sharding.ShardCertificate`
         (``certify_shard_plan`` output).  A failing certificate raises
         :class:`ShardPlanError` naming the violated provers.
+    shards:
+        The shard indices this runner executes (default: all).
+    fused_slots:
+        Shard index -> where that shard's fused outcome is shared (see
+        :class:`~repro.gpu_kernels.crsd_runner.PlanExecutor`).
     """
 
     name = "crsd_sharded"
 
     def __init__(self, matrix: CRSDMatrix, certificate: ShardCertificate,
-                 shards: Optional[Sequence[int]] = None, **kwargs):
+                 shards: Optional[Sequence[int]] = None,
+                 fused_slots: Optional[Mapping[int, Any]] = None,
+                 **kwargs):
         kwargs.setdefault("local_size", matrix.mrows)
         super().__init__(**kwargs)
         if not isinstance(matrix, CRSDMatrix):
@@ -106,7 +113,8 @@ class ShardedSpMV(GPUSpMV):
                     subplan, self.name, self.device, self.precision,
                     matrix.scatter_colval[lo:hi],
                     matrix.scatter_rowno[lo:hi],
-                    dia_val_size=matrix.dia_val.size, labels={"shard": i})
+                    dia_val_size=matrix.dia_val.size, labels={"shard": i},
+                    fused_slot=(fused_slots or {}).get(i))
         #: IncidentReports filed by shard fused demotions (crashed
         #: certification or failed verification)
         self.fused_incidents = []
