@@ -28,10 +28,13 @@ batched oracle (``REPRO_FUSED_VERIFY=first`` or ``always``); any
 mismatch, like a crashed prover, permanently demotes that executor to
 ``batched`` and files an :class:`IncidentReport` on the served run.
 
-An executor generates its Python codelets (emit, source validation,
-``compile``) only when a batched or per-group launch, or fused
-verification, first needs them: a plan the fused engine serves never
-generates them.  ``strict=True`` generates them eagerly, so the
+A plan, its codelets and its fused outcome live in one
+:class:`PlanArtifacts`, which same-pattern runners share (the serve plan
+cache keeps them in its engine's :class:`~repro.serve.cache.PatternStore`);
+demotions stay with each executor.  Codelets (emit, source validation,
+``compile``) are generated only when a batched or per-group launch, or
+fused verification, first needs them: a plan the fused engine serves
+never generates them.  ``strict=True`` generates them eagerly, so the
 analyzer's :class:`~repro.analyze.report.KernelAnalysisError` still
 raises at construction.
 """
@@ -120,19 +123,54 @@ def launch_plan(kernel, plan, device, values, scatter, xbuf, ybuf,
     return tr
 
 
+class PlanArtifacts:
+    """One plan's pattern-pure artifacts, each made once and shared.
+
+    The :class:`~repro.codegen.plan.KernelPlan`, its Python codelets
+    (generated on first use) and ``fused``, its certified outcome: a
+    :class:`~repro.gpu_kernels.fused.FusedState` or a clean-decline
+    :class:`~repro.gpu_kernels.fused.FusedCertificate`, ``None`` until
+    certified.  The outcome holds for one device spec and precision,
+    so the first executor binds the artifacts to its own.
+    """
+
+    def __init__(self, plan):
+        self.plan = plan
+        self.fused = None
+        self._kernel = None
+        self._target = None
+
+    def codelets(self, strict: bool = False):
+        """The generated codelets (batched and per-group forms),
+        generated — and, with ``strict``, analyzed — on first call."""
+        if self._kernel is None:
+            self._kernel = generate_python_kernel(self.plan, strict=strict)
+        return self._kernel
+
+    def bind(self, device, precision: str) -> None:
+        """Bind to ``device`` and ``precision`` on the first call;
+        ``ValueError`` when already bound to others."""
+        if self._target is None:
+            self._target = (device, precision)
+        elif self._target != (device, precision):
+            raise ValueError("plan artifacts bound to another device or "
+                             "precision")
+
+
 class PlanExecutor:
     """One CRSD plan and its engine ladder: fused, batched, per-group.
 
-    Holds the plan, its lazily generated codelets and its fused state,
-    and runs the plan on the owning runner's bound buffers.  A runner
-    over a whole matrix holds one; a sharded runner holds one per
-    shard, with ``labels={"shard": i}`` on its events and a
-    ``shard {i} `` prefix on its incident messages.
+    Runs the plan of its :class:`PlanArtifacts` on the owning runner's
+    bound buffers.  A runner over a whole matrix holds one; a sharded
+    runner holds one per shard, with ``labels={"shard": i}`` on its
+    events and a ``shard {i} `` prefix on its incident messages.
 
     Parameters
     ----------
-    plan:
-        The kernel plan (a whole matrix's or one shard's sub-plan).
+    artifacts:
+        The plan's :class:`PlanArtifacts` (a whole matrix's plan or one
+        shard's sub-plan).  Crashes, demotions and verification stay
+        with this executor.
     name:
         The owning runner's name: the kernel of events and incidents,
         and the ``{name}.fused_certify`` fault-injection phase.
@@ -146,24 +184,16 @@ class PlanExecutor:
         the plan's own slab (a shard binds the full matrix's slab).
     labels:
         Extra attributes of this executor's events.
-    template:
-        A same-pattern donor executor whose codelets — and, on the same
-        device and precision, fused state — are adopted, not rebuilt.
-    fused_slot:
-        Where this plan's certified fused outcome is shared (a
-        :class:`~repro.serve.cache.StoreSlot`, or ``None``): asked
-        before certifying, and given the state or clean decline a
-        certification produced.  Crashes, demotions and verification
-        stay with this executor.
     strict:
         Generate (and analyze) the codelets now.
     """
 
-    def __init__(self, plan, name: str, device, precision: str,
-                 scatter_colval, scatter_rowno, dia_val_size=None,
-                 labels=None, template: "PlanExecutor" = None,
-                 fused_slot=None, strict: bool = False):
-        self.plan = plan
+    def __init__(self, artifacts: PlanArtifacts, name: str, device,
+                 precision: str, scatter_colval, scatter_rowno,
+                 dia_val_size=None, labels=None, strict: bool = False):
+        artifacts.bind(device, precision)
+        self.artifacts = artifacts
+        self.plan = artifacts.plan
         self.name = name
         self.device = device
         self.precision = precision
@@ -173,11 +203,8 @@ class PlanExecutor:
         self.labels = dict(labels or {})
         # incident messages name the labels first, e.g. "shard 2 "
         self._prefix = "".join(f"{k} {v} " for k, v in self.labels.items())
-        self._template = template
-        self._fused_slot = fused_slot
-        self._kernel = None
-        if strict and template is None:
-            self._kernel = generate_python_kernel(plan, strict=True)
+        if strict:
+            artifacts.codelets(strict=True)
         #: fused state: None = not built, False = declined or demoted
         self.fused_state = None
         #: whether a fused run passed ``REPRO_FUSED_VERIFY=first``
@@ -186,17 +213,9 @@ class PlanExecutor:
 
     @property
     def kernel(self):
-        """The generated Python codelets (batched and per-group forms).
-
-        Generated on first access — the fused engine never needs them —
-        or resolved through the donor, so a twin and its donor share
-        one compiled set.
-        """
-        if self._kernel is None:
-            self._kernel = (self._template.kernel
-                            if self._template is not None
-                            else generate_python_kernel(self.plan))
-        return self._kernel
+        """The plan's generated Python codelets, generated on first
+        access — the fused engine never needs them."""
+        return self.artifacts.codelets()
 
     def run(self, dia_val, scatter, xbuf, ybuf, trace: bool):
         """Run the plan on bound buffers under ``executor_mode()``.
@@ -221,15 +240,9 @@ class PlanExecutor:
 
     # ------------------------------------------------------------------
     def _build_fused_state(self):
-        """Certify the plan (or adopt the donor's or the shared state);
-        ``False`` when the provers decline or crash."""
-        tpl = self._template
-        if (tpl is not None and tpl.fused_state is not None
-                and tpl.precision == self.precision
-                and tpl.device == self.device):
-            return tpl.fused_state
-        slot = self._fused_slot
-        outcome = slot.get() if slot is not None else None
+        """The shared fused outcome, certified on a miss; ``False`` when
+        the provers decline or crash."""
+        outcome = self.artifacts.fused
         if outcome is None:
             try:
                 if _flt.ACTIVE is not None:
@@ -246,8 +259,7 @@ class PlanExecutor:
                                      "demoted to batched")
                 return False
             outcome = state if state is not None else cert
-            if slot is not None:
-                slot.put(outcome)
+            self.artifacts.fused = outcome
         if isinstance(outcome, FusedCertificate):
             # cleanly not certifiable: fall back, leaving an event
             sess = _obs.ACTIVE
@@ -377,35 +389,21 @@ class CrsdSpMV(GPUSpMV):
         renderings before compiling; raises
         :class:`~repro.analyze.report.KernelAnalysisError` if any
         checker finds a violation.
-    template:
-        Optional same-pattern donor runner (matched by the serve plan
-        cache via :func:`repro.core.serialize.pattern_fingerprint`).
-        The plan, the compiled codelets and — when device and precision
-        also match — the fused certificate/kernel/trace are pure
-        functions of the sparsity pattern, so they are adopted instead
-        of rebuilt; only the value buffers are per matrix.
-    fused_slot:
-        Where the plan's fused outcome is shared across runners (see
-        :class:`PlanExecutor`); the serve plan cache passes a slot of
-        its engine's :class:`~repro.serve.cache.PatternStore`.
+    artifacts:
+        A same-pattern, same-configuration runner's
+        :class:`PlanArtifacts` to share (``ValueError`` when their plan
+        does not fit); ``None`` builds the plan and fresh ones.
     """
 
     name = "crsd"
 
     def __init__(self, matrix: CRSDMatrix, use_local_memory: bool = True,
-                 strict: bool = False, template: "CrsdSpMV" = None,
-                 fused_slot=None, **kwargs):
+                 strict: bool = False, artifacts: PlanArtifacts = None,
+                 **kwargs):
         kwargs.setdefault("local_size", matrix.mrows)
         super().__init__(**kwargs)
         self.matrix = matrix
-        if template is not None and self._template_compatible(
-                template, 1, bool(use_local_memory)):
-            self.plan = template.plan
-        else:
-            template = None
-            self.plan = build_plan(matrix,
-                                   use_local_memory=use_local_memory)
-        self._init_executor(template, fused_slot, strict)
+        self._init_executor(artifacts, use_local_memory, 1, strict)
 
     @property
     def nrows(self) -> int:
@@ -415,15 +413,27 @@ class CrsdSpMV(GPUSpMV):
     def ncols(self) -> int:
         return self.matrix.ncols
 
-    def _init_executor(self, template, fused_slot, strict: bool) -> None:
-        """Set up the plan's :class:`PlanExecutor`, sharing the adopted
-        same-pattern donor's (``template``, or ``None``) codelets and
-        fused state."""
+    def _init_executor(self, artifacts, use_local_memory: bool, nvec: int,
+                       strict: bool) -> None:
+        """Set up the :class:`PlanExecutor` over ``artifacts`` (checked
+        against the matrix) or, without them, over a new plan."""
+        m = self.matrix
+        if artifacts is None:
+            artifacts = PlanArtifacts(build_plan(
+                m, use_local_memory=use_local_memory, nvec=nvec))
+        else:
+            p = artifacts.plan
+            if ((p.nrows, p.ncols, p.mrows, p.scatter.num_rows, p.nvec,
+                 p.use_local_memory)
+                    != (m.nrows, m.ncols, m.mrows, m.num_scatter_rows, nvec,
+                        bool(use_local_memory) and nvec == 1)):
+                raise ValueError("plan artifacts do not fit this matrix "
+                                 "and configuration")
+        self.artifacts = artifacts
+        self.plan = artifacts.plan
         self._executor = PlanExecutor(
-            self.plan, self.name, self.device, self.precision,
-            self.matrix.scatter_colval, self.matrix.scatter_rowno,
-            template=template._executor if template is not None else None,
-            fused_slot=fused_slot, strict=strict)
+            artifacts, self.name, self.device, self.precision,
+            m.scatter_colval, m.scatter_rowno, strict=strict)
         #: IncidentReports filed by fused demotions, newest last
         self.fused_incidents = []
 
@@ -476,22 +486,6 @@ class CrsdSpMV(GPUSpMV):
         finally:
             self.context.free(xbuf)
 
-    def _template_compatible(self, template, nvec: int,
-                             use_local_memory=None) -> bool:
-        """Cheap sanity guard — callers passing a template are expected
-        to have matched the *pattern fingerprint* already."""
-        m = self.matrix
-        return (isinstance(template, CrsdSpMV)
-                and template.plan.nvec == nvec
-                and (use_local_memory is None
-                     or template.plan.use_local_memory
-                     == (use_local_memory and nvec == 1))
-                and template.plan.nrows == m.nrows
-                and template.plan.ncols == m.ncols
-                and template.plan.mrows == m.mrows
-                and template.plan.scatter.num_rows == m.num_scatter_rows
-                and template.matrix.dia_val.size == m.dia_val.size)
-
 
 class CrsdSpMM(CrsdSpMV):
     """Generated multi-vector CRSD SpMM runner.
@@ -512,8 +506,8 @@ class CrsdSpMM(CrsdSpMV):
 
     def __init__(self, matrix: CRSDMatrix, nvec: int,
                  use_local_memory: bool | None = None,
-                 strict: bool = False, template: "CrsdSpMM" = None,
-                 fused_slot=None, **kwargs):
+                 strict: bool = False, artifacts: PlanArtifacts = None,
+                 **kwargs):
         kwargs.setdefault("local_size", matrix.mrows)
         GPUSpMV.__init__(self, **kwargs)  # skip CrsdSpMV.__init__
         self.matrix = matrix
@@ -525,19 +519,11 @@ class CrsdSpMM(CrsdSpMV):
                 "AD-group local-memory staging)",
                 stacklevel=2,
             )
-        if template is not None and self._template_compatible(
-                template, self.nvec):
-            self.plan = template.plan
-        else:
-            template = None
-            self.plan = build_plan(
-                matrix,
-                # None = inherit the default (build_plan itself turns the
-                # staging off whenever nvec > 1)
-                use_local_memory=True if use_local_memory is None else use_local_memory,
-                nvec=self.nvec,
-            )
-        self._init_executor(template, fused_slot, strict)
+        # None = inherit the default (build_plan itself turns the staging
+        # off whenever nvec > 1)
+        self._init_executor(
+            artifacts, True if use_local_memory is None else use_local_memory,
+            self.nvec, strict)
 
     def run(self, x: np.ndarray, trace: bool = True) -> SpMVRun:
         """Compute ``Y = A @ X`` for ``X`` of shape ``(ncols, nvec)``."""

@@ -17,14 +17,16 @@ an entry drops every prepared artifact with it.
 What depends only on the sparsity *pattern* lives one level up, in the
 engine's :class:`PatternStore`: the :class:`~repro.core.crsd.CRSDLayout`
 each CRSD build is filled from (so a same-pattern matrix costs one value
-gather, not a structure analysis), the certified fused outcome of each
-runner plan, and the shard certificates.  A cluster passes one store to
-every device's cache, so each artifact is made once per engine; a
-standalone cache keeps a private store and prunes it on eviction.
-Everything a *device* does stays in its own cache: the runners and
-their value buffers, the hit/miss counters (which price preparation
-into simulated service time), the same-pattern donor runners, and each
-runner's fused crashes, verification and demotions.
+gather, not a structure analysis), each runner plan's
+:class:`~repro.gpu_kernels.crsd_runner.PlanArtifacts` (plan, codelets,
+fused outcome), and the shard certificates.  A cluster passes one store
+to every device's cache, so each artifact is made once per engine and a
+same-pattern runner gets the same artifacts on any device; a standalone
+cache keeps a private store and prunes it on eviction.  Everything a
+*device* does stays in its own cache: the runners and their value
+buffers, the hit/miss counters (which price preparation into simulated
+service time), and each runner's fused crashes, verification and
+demotions.
 
 Hit/miss/eviction counters live in :class:`CacheStats` and are also
 emitted as :mod:`repro.obs` events (category ``serve``) when a profile
@@ -44,7 +46,7 @@ from repro.obs import recorder as _obs
 from repro.ocl.device import DeviceSpec, TESLA_C2050
 
 __all__ = ["CacheStats", "PlanEntry", "PlanCache", "PatternStore",
-           "StoreSlot", "default_cache", "reset_default_cache"]
+           "default_cache", "reset_default_cache"]
 
 
 @dataclass
@@ -54,8 +56,8 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    #: runner misses that still reused a same-pattern donor's plan,
-    #: codelets and fused state (only the value buffers were rebuilt)
+    #: runner misses where a resident same-pattern entry already held a
+    #: runner of this configuration (only values and buffers are new)
     pattern_reuses: int = 0
     #: shard-certificate hits served from a *shared*
     #: :class:`PatternStore` where the certificate was proven by a
@@ -88,7 +90,7 @@ class CacheStats:
 _CACHE_TOKENS = itertools.count()
 
 #: the kinds of entry a :class:`PatternStore` holds
-STORE_KINDS = ("certificate", "layout", "fused")
+STORE_KINDS = ("certificate", "layout", "plan")
 
 
 class PatternStore:
@@ -100,19 +102,20 @@ class PatternStore:
     Three kinds of entry, each keyed by a tuple whose first element is
     the pattern fingerprint:
 
-    - ``"certificate"``: shard certificates, keyed by (pattern,
-      row-block boundaries, execution config);
+    - ``"certificate"``: shard certificates, keyed by (pattern, build
+      params, row-block boundaries, execution config);
     - ``"layout"``: :class:`~repro.core.crsd.CRSDLayout` builds, keyed
       by (pattern, build params);
-    - ``"fused"``: certified fused outcomes — a
-      :class:`~repro.gpu_kernels.fused.FusedState` or a clean decline
-      certificate — keyed by (pattern, build params, device, precision,
-      local memory, ``nvec``), plus the shard plan and shard index for
-      a shard.
+    - ``"plan"``: :class:`~repro.gpu_kernels.crsd_runner.PlanArtifacts`
+      — a runner plan, its codelets and its certified fused outcome —
+      keyed by (pattern, build params, device, precision, local memory,
+      ``mrows``, ``nvec``), plus the shard index and row-block
+      boundaries for a shard.
 
     The first cache to make an artifact publishes it; later caches
-    (usually other devices) get a hit.  Entries are never mutated after
-    insert; only a cache that privately owns its store may
+    (usually other devices) get a hit.  Entries are never replaced
+    (a plan's codelets and fused outcome are filled in once, on first
+    use); only a cache that privately owns its store may
     :meth:`prune` orphans on eviction.  One store lives per engine:
     a :class:`~repro.cluster.engine.ClusterEngine` shares one across
     its devices, a standalone :class:`PlanCache` keeps its own.
@@ -166,29 +169,6 @@ class PatternStore:
             "certificates": self.count("certificate"),
             "cross_device_reuses": self.cross_device_reuses,
         }
-
-
-@dataclass(frozen=True)
-class StoreSlot:
-    """One key of a :class:`PatternStore`, bound to the asking cache.
-
-    A runner's plan executor holds one for its fused outcome: it asks
-    the slot before certifying and publishes what it proved, without
-    knowing the key.
-    """
-
-    store: PatternStore
-    kind: str
-    key: Tuple
-    token: int
-
-    def get(self):
-        """The published artifact, or ``None``."""
-        return self.store.get(self.kind, self.key, self.token)[0]
-
-    def put(self, value) -> None:
-        """Publish ``value`` (a no-op when already published)."""
-        self.store.put(self.kind, self.key, value, self.token)
 
 
 class PlanEntry:
@@ -247,10 +227,7 @@ class PlanCache:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
         self._entries: "OrderedDict[str, PlanEntry]" = OrderedDict()
-        #: (pattern fp, runner key) -> donor runner whose plan/codelets
-        #: a same-pattern new-values matrix adopts instead of rebuilding
-        self._pattern_runners: Dict[Tuple, Any] = {}
-        #: CRSD layouts, fused outcomes and shard certificates are
+        #: CRSD layouts, plan artifacts and shard certificates are
         #: pattern-keyed and live in a :class:`PatternStore` — a
         #: private one per cache by default, or the one the cluster
         #: shares so devices inherit each other's builds and proofs
@@ -277,7 +254,6 @@ class PlanCache:
         """Drop every entry (counters are kept; a shared pattern store
         is left alone — other devices may still use it)."""
         self._entries.clear()
-        self._pattern_runners.clear()
         if self._private_store:
             self.store.clear()
 
@@ -307,10 +283,6 @@ class PlanCache:
             fp, entry = self._entries.popitem(last=False)
             self.stats.evictions += 1
             evicted = True
-            dead = {id(r) for r in entry._runners.values()}
-            self._pattern_runners = {
-                k: v for k, v in self._pattern_runners.items()
-                if id(v) not in dead}
             self._event("plan_cache.evict", fingerprint=fp,
                         runners=entry.num_runners)
         if evicted and self._private_store:
@@ -373,32 +345,29 @@ class PlanCache:
             return runner
         self._miss("runner", entry.fingerprint, nvec=nvec)
         crsd = self._crsd_for(entry, mrows)
-        # the fused outcome is shared through the store, keyed like the
-        # runner but by pattern (and the carrier's build params)
-        fused = StoreSlot(self.store, "fused",
-                          (entry.pattern_fingerprint, crsd.params) + key,
-                          self._token)
-        # same-pattern donor: a matrix with the identical sparsity
-        # structure but different values already prepared this runner
-        # configuration — adopt its plan, codelets and fused state
-        pkey = (entry.pattern_fingerprint, key)
-        template = self._pattern_runners.get(pkey)
+        # the plan artifacts are shared through the store, keyed like
+        # the runner but by pattern (and the carrier's build params)
+        pkey = (entry.pattern_fingerprint, crsd.params) + key
+        artifacts, _ = self.store.get("plan", pkey, self._token)
         if nvec is None:
             runner = CrsdSpMV(crsd, device=device, precision=precision,
                               use_local_memory=use_local_memory,
-                              template=template, fused_slot=fused)
+                              artifacts=artifacts)
         else:
             runner = CrsdSpMM(crsd, nvec=int(nvec), device=device,
-                              precision=precision, template=template,
-                              fused_slot=fused)
-        if template is not None:
+                              precision=precision, artifacts=artifacts)
+        if artifacts is None:
+            self.store.put("plan", pkey, runner.artifacts, self._token)
+        if any(e.pattern_fingerprint == entry.pattern_fingerprint
+               and key in e._runners for e in self._entries.values()):
+            # a same-pattern, different-values matrix already prepared
+            # this configuration here
             self.stats.pattern_reuses += 1
             self._event("plan_cache.pattern_reuse",
                         fingerprint=entry.fingerprint,
                         pattern=entry.pattern_fingerprint, nvec=nvec)
         runner.prepare()
         entry._runners[key] = runner
-        self._pattern_runners[pkey] = runner
         return runner
 
     def shard_certificate(
@@ -419,11 +388,11 @@ class PlanCache:
         :func:`repro.analyze.sharding.certify_shard_plan` over it,
         memoising the resulting
         :class:`~repro.analyze.sharding.ShardCertificate` in the
-        :class:`PatternStore` under the *pattern* fingerprint
-        and boundary rows — the provers never read matrix values, so a
-        same-pattern new-values matrix (the serving steady state)
-        inherits the certificate, and cluster devices sharing the store
-        inherit each other's proofs (counted in
+        :class:`PatternStore` under the *pattern* fingerprint, CRSD
+        build params and boundary rows — the provers never read matrix
+        values, so a same-pattern new-values matrix (the serving steady
+        state) inherits the certificate, and cluster devices sharing the
+        store inherit each other's proofs (counted in
         :attr:`CacheStats.cert_reuses`).  Declined certificates are
         cached too: re-asking cannot make an unprovable plan provable.
         """
@@ -449,8 +418,11 @@ class PlanCache:
         from repro.shard.plan import ShardPlanner
 
         cuts = self._shard_cuts(entry, mrows, num_shards, boundaries)
-        key = (entry.pattern_fingerprint, cuts, int(num_shards),
-               device, precision, int(mrows), bool(use_local_memory))
+        # the sub-plans are made for one CRSD build of the pattern: a
+        # carrier built with other params needs its own certificate
+        key = (entry.pattern_fingerprint, self._build_params(entry, mrows),
+               cuts, int(num_shards), device, precision, int(mrows),
+               bool(use_local_memory))
         cert, cross = self.store.get("certificate", key, self._token)
         if cert is not None:
             if cross:
@@ -490,6 +462,7 @@ class PlanCache:
         as cross-device reuse), and an unprovable plan raises
         :class:`~repro.shard.plan.ShardPlanError` instead of running.
         """
+        from repro.gpu_kernels.crsd_runner import PlanArtifacts
         from repro.shard.executor import ShardedSpMV
         from repro.shard.plan import ShardPlanError
 
@@ -510,13 +483,15 @@ class PlanCache:
         self._miss("shard_runner", entry.fingerprint,
                    shard=int(shard_index))
         crsd = self._crsd_for(entry, mrows)
-        fused = StoreSlot(
-            self.store, "fused",
-            (entry.pattern_fingerprint, crsd.params) + key
-            + (self._shard_cuts(entry, mrows, num_shards),), self._token)
+        pkey = ((entry.pattern_fingerprint, crsd.params) + key
+                + (self._shard_cuts(entry, mrows, num_shards),))
+        artifacts, _ = self.store.get("plan", pkey, self._token)
+        if artifacts is None:
+            artifacts = PlanArtifacts(cert.subplans[int(shard_index)])
+            self.store.put("plan", pkey, artifacts, self._token)
         runner = ShardedSpMV(
             crsd, cert, shards=(int(shard_index),), device=device,
-            precision=precision, fused_slots={int(shard_index): fused})
+            precision=precision, artifacts={int(shard_index): artifacts})
         runner.prepare()
         entry._runners[key] = runner
         return runner
@@ -534,6 +509,19 @@ class PlanCache:
                                          int(num_shards))
         return tuple(int(b) for b in boundaries)
 
+    @staticmethod
+    def _build_params(entry: PlanEntry, mrows: int):
+        """The build params of ``entry``'s CRSD for ``mrows``: those of
+        the resident build, else the ones :meth:`_crsd_for` builds with
+        (so nothing is built to find them)."""
+        from repro.core.crsd import CRSDBuildParams, compatible_wavefront
+
+        crsd = entry._crsd.get(int(mrows))
+        if crsd is not None:
+            return crsd.params
+        return CRSDBuildParams(mrows=int(mrows),
+                               wavefront_size=compatible_wavefront(mrows))
+
     def _crsd_for(self, entry: PlanEntry, mrows: int):
         """The (possibly new) CRSD build of ``entry`` for ``mrows``.
 
@@ -542,16 +530,11 @@ class PlanCache:
         sharing the store) analyses the structure; the rest gather
         their values into it.
         """
-        from repro.core.crsd import (
-            CRSDBuildParams,
-            CRSDMatrix,
-            compatible_wavefront,
-        )
+        from repro.core.crsd import CRSDMatrix
 
         crsd = entry._crsd.get(int(mrows))
         if crsd is None:
-            params = CRSDBuildParams(
-                mrows=int(mrows), wavefront_size=compatible_wavefront(mrows))
+            params = self._build_params(entry, mrows)
             key = (entry.pattern_fingerprint, params)
             layout, _ = self.store.get("layout", key, self._token)
             crsd = CRSDMatrix.from_coo(entry.coo, params, layout=layout)

@@ -12,7 +12,9 @@ shard and leaves an event labelled with the shard, ``REPRO_FUSED_VERIFY``
 checks each shard's fused rows against that shard's batched launches
 (a mismatch demotes only that shard), and a shard's codelets are
 generated only when a batched or per-group launch, or verification,
-first needs them.
+first needs them.  A shard's sub-plan, codelets and fused outcome live
+in its :class:`~repro.gpu_kernels.crsd_runner.PlanArtifacts`, which the
+serve plan cache shares between same-pattern runners.
 Because the certificate proved halo coverage, write disjointness and
 deterministic overwrite order, the concatenation of shard launches is
 bit-identical to the unsharded run — the differential suite holds it
@@ -30,14 +32,14 @@ counters match ``certificate.per_shard_traces`` counter for counter.
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.analyze.sharding import ShardCertificate
 from repro.core.crsd import CRSDMatrix
 from repro.gpu_kernels.base import GPUSpMV, SpMVRun
-from repro.gpu_kernels.crsd_runner import PlanExecutor
+from repro.gpu_kernels.crsd_runner import PlanArtifacts, PlanExecutor
 from repro.obs.recorder import maybe_span
 from repro.ocl.trace import KernelTrace
 from repro.shard.plan import ShardPlanError
@@ -58,16 +60,17 @@ class ShardedSpMV(GPUSpMV):
         :class:`ShardPlanError` naming the violated provers.
     shards:
         The shard indices this runner executes (default: all).
-    fused_slots:
-        Shard index -> where that shard's fused outcome is shared (see
-        :class:`~repro.gpu_kernels.crsd_runner.PlanExecutor`).
+    artifacts:
+        Shard index -> the shared :class:`PlanArtifacts` of that
+        shard's sub-plan (``ValueError`` when they hold another plan);
+        a shard without an entry gets fresh ones.
     """
 
     name = "crsd_sharded"
 
     def __init__(self, matrix: CRSDMatrix, certificate: ShardCertificate,
                  shards: Optional[Sequence[int]] = None,
-                 fused_slots: Optional[Mapping[int, Any]] = None,
+                 artifacts: Optional[Mapping[int, PlanArtifacts]] = None,
                  **kwargs):
         kwargs.setdefault("local_size", matrix.mrows)
         super().__init__(**kwargs)
@@ -108,13 +111,16 @@ class ShardedSpMV(GPUSpMV):
         for i in active:
             spec, subplan = self.shard_plan.shards[i], self.subplans[i]
             if subplan.num_groups or subplan.scatter.num_rows:
+                shared = (artifacts or {}).get(i) or PlanArtifacts(subplan)
+                if shared.plan != subplan:
+                    raise ValueError(f"plan artifacts of shard {i} do not "
+                                     "hold the certificate's sub-plan")
                 lo, hi = spec.scatter_start, spec.scatter_end
                 self._executors[i] = PlanExecutor(
-                    subplan, self.name, self.device, self.precision,
+                    shared, self.name, self.device, self.precision,
                     matrix.scatter_colval[lo:hi],
                     matrix.scatter_rowno[lo:hi],
-                    dia_val_size=matrix.dia_val.size, labels={"shard": i},
-                    fused_slot=(fused_slots or {}).get(i))
+                    dia_val_size=matrix.dia_val.size, labels={"shard": i})
         #: IncidentReports filed by shard fused demotions (crashed
         #: certification or failed verification)
         self.fused_incidents = []

@@ -48,13 +48,14 @@ NVEC = 2
 def split():
     """wang3 at 2% scale, certified for a 4-way split whose every shard
     has scatter rows (so each executor makes a dia and a scatter
-    launch)."""
+    launch) and whose shards 1-3 address the full slab past its start."""
     coo = generate("wang3", scale=0.02, seed=0)
     crsd = CRSDMatrix.from_coo(coo, mrows=32)
     cert = certify_shard_plan(crsd,
                               ShardPlanner(crsd, coo=coo).plan(NUM_SHARDS))
     assert cert.ok, cert.reasons
     assert all(sp.scatter.num_rows for sp in cert.subplans)
+    assert all(sp.regions[0].slab_base > 0 for sp in cert.subplans[1:])
     return crsd, cert
 
 

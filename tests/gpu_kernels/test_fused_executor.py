@@ -234,7 +234,7 @@ class TestTemplateReuse:
         donor = CrsdSpMV(crsd)
         x = rng.standard_normal(160)
         donor.run(x)  # builds the fused state
-        adopted = CrsdSpMV(crsd2, template=donor)
+        adopted = CrsdSpMV(crsd2, artifacts=donor.artifacts)
         assert adopted.plan is donor.plan
         assert adopted.kernel is donor.kernel
         run = adopted.run(x)
@@ -245,10 +245,19 @@ class TestTemplateReuse:
         assert dataclasses.asdict(run.trace) == dataclasses.asdict(
             ref.trace)
 
-    def test_incompatible_template_ignored(self, rng):
+    def test_incompatible_artifacts_raise(self, rng):
         coo = random_diagonal_matrix(rng, n=160, scatter=3)
         other = random_diagonal_matrix(rng, n=96, scatter=2)
         donor = CrsdSpMV(CRSDMatrix.from_coo(other, mrows=32))
-        runner = CrsdSpMV(CRSDMatrix.from_coo(coo, mrows=32),
-                          template=donor)
-        assert runner.plan is not donor.plan
+        crsd = CRSDMatrix.from_coo(coo, mrows=32)
+        with pytest.raises(ValueError, match="do not fit"):
+            CrsdSpMV(crsd, artifacts=donor.artifacts)
+        with pytest.raises(ValueError, match="do not fit"):
+            CrsdSpMM(crsd, nvec=2, artifacts=donor.artifacts)
+
+    def test_artifacts_bound_to_one_device_and_precision(self, rng):
+        crsd = CRSDMatrix.from_coo(
+            random_diagonal_matrix(rng, n=160, scatter=3), mrows=32)
+        donor = CrsdSpMV(crsd)
+        with pytest.raises(ValueError, match="another device"):
+            CrsdSpMV(crsd, precision="single", artifacts=donor.artifacts)

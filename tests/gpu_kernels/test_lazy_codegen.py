@@ -121,7 +121,7 @@ class TestGeneratedOnDemand:
 
     def test_twin_shares_donor_codelets(self, crsd, codegen_calls):
         donor = CrsdSpMV(crsd)
-        twin = CrsdSpMV(crsd, template=donor)
+        twin = CrsdSpMV(crsd, artifacts=donor.artifacts)
         assert twin.kernel is donor.kernel
         assert len(codegen_calls) == 1
 

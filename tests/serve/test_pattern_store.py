@@ -1,11 +1,11 @@
-"""The engine-scoped PatternStore: layouts and fused outcomes built once.
+"""The engine-scoped PatternStore: layouts and plan artifacts built once.
 
 A 4-device replicated cluster serving same-pattern tenants plus one
-split matrix analyses each pattern's structure once and certifies each
-fused plan once, cluster-wide, while every device keeps its own cache
-counters, donors, demotions and incidents.  The reference run shares
-only shard certificates across devices: every layout and fused lookup
-misses, so each device builds its own.
+split matrix analyses each pattern's structure once, and certifies each
+fused plan and generates each plan's codelets once, cluster-wide, while
+every device keeps its own cache counters, demotions and incidents.
+The reference run shares only shard certificates across devices: every
+layout and plan lookup misses, so each runner builds its own.
 """
 
 import numpy as np
@@ -50,8 +50,9 @@ def default_engine(monkeypatch):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts of structure analyses and fused certifications."""
-    counts = {"analyze": 0, "certify": 0}
+    """Counts of structure analyses, fused certifications and codelet
+    generations."""
+    counts = {"analyze": 0, "certify": 0, "codegen": 0}
 
     def counting(name, real):
         def wrapper(*args, **kwargs):
@@ -63,6 +64,9 @@ def calls(monkeypatch):
                         counting("analyze", crsd_mod.analyze_structure))
     monkeypatch.setattr(runner_mod, "build_fused_state",
                         counting("certify", runner_mod.build_fused_state))
+    monkeypatch.setattr(runner_mod, "generate_python_kernel",
+                        counting("codegen",
+                                 runner_mod.generate_python_kernel))
     return counts
 
 
@@ -70,7 +74,7 @@ def serve(population, certificates_only=False, monkeypatch=None):
     """Serve every matrix twice, one request apart, on a 4-device
     cluster with two replicas; returns ``(cluster, served results)``.
 
-    ``certificates_only`` makes every layout and fused lookup miss.
+    ``certificates_only`` makes every layout and plan lookup miss.
     """
     if certificates_only:
         real = PatternStore.get
@@ -108,7 +112,7 @@ def executors(engine):
 
 
 def fused_outcomes(store):
-    return [v for v, _ in store._entries["fused"].values()]
+    return [v.fused for v, _ in store._entries["plan"].values()]
 
 
 @pytest.fixture
@@ -132,12 +136,26 @@ def test_each_pattern_analysed_and_certified_once(population, calls,
     store = cluster.store
     assert store.count("layout") == 3  # kim1, wang3, ecology2
     assert calls["analyze"] == store.count("layout")
-    assert calls["certify"] == store.count("fused")
+    assert calls["certify"] == store.count("plan")
     assert store.count("certificate") == 1
     # replicas and same-pattern tenants certified per device before
     assert unshared["analyze"] > calls["analyze"]
     assert unshared["certify"] > calls["certify"]
     assert all(isinstance(v, FusedState) for v in fused_outcomes(store))
+    assert calls["codegen"] == 0  # the fused engine serves every plan
+
+
+def test_batched_cluster_generates_each_plan_once(population, calls,
+                                                  monkeypatch):
+    monkeypatch.setenv("REPRO_EXECUTOR", "batched")
+    cluster, _ = serve(population)
+    runs = [ex for d in cluster.devices for _, ex in executors(d.engine)]
+    plans = {ex.plan for ex in runs}
+    # replicas and same-pattern tenants share the generated codelets
+    assert calls["codegen"] == len(plans) < len(runs)
+    assert len({id(ex.kernel) for ex in runs}) == len(plans)
+    assert cluster.store.count("plan") == len(plans)
+    assert calls["certify"] == 0
 
 
 def test_device_counters_and_ys_match_unshared_builds(population,
@@ -180,8 +198,8 @@ def test_prover_crash_demotes_one_device_and_publishes_nothing(
     with inject(FaultInjector(seed=5, specs=[spec])) as inj:
         cluster, served = serve(population)
         assert len(inj.events) == 1
-    # the crashed plan was certified (once) by another device
-    assert calls["certify"] == cluster.store.count("fused")
+    # the crashed plan was certified (once) by another runner
+    assert calls["certify"] == cluster.store.count("plan")
     assert_demoted_on_one_device(cluster, served, ys, "fault")
 
 
@@ -205,9 +223,11 @@ class TestPrivateStore:
         for coo in (kim1, wang3):
             cache.runner(coo).run(np.ones(coo.ncols))
             assert cache.store.count("layout") == 1
-            assert cache.store.count("fused") == 1
+            assert cache.store.count("plan") == 1
         live = ingest(wang3)[1].pattern
-        for kind in ("layout", "fused"):
+        assert all(isinstance(v, FusedState)
+                   for v in fused_outcomes(cache.store))
+        for kind in ("layout", "plan"):
             assert [k[0] for k in cache.store._entries[kind]] == [live]
 
     def test_same_pattern_eviction_keeps_the_layout(self, population):

@@ -72,8 +72,10 @@ class TestRunnerMemoisation:
 
 
 class TestPatternReuse:
-    """Same-pattern, different-values matrices adopt the donor's plan
-    and codelets instead of re-running pattern analysis and codegen."""
+    """Same-pattern, different-values matrices share the donor's plan
+    artifacts (plan, codelets, fused outcome) through the cache's
+    pattern store instead of re-running pattern analysis and codegen;
+    run-time demotions stay with the runner that met them."""
 
     @staticmethod
     def revalued(coo, factor=2.0):
@@ -149,6 +151,56 @@ class TestPatternReuse:
         cache.runner(coo, mrows=32)
         cache.runner(self.revalued(coo), mrows=32)
         assert cache.stats.to_dict()["pattern_reuses"] == 1
+
+    def test_twin_of_a_crash_demoted_donor_certifies_and_runs_fused(
+            self, coo, monkeypatch):
+        """A demotion is the donor's own: the twin gets the plan, not
+        the crash, and certifies the plan itself."""
+        from repro.gpu_kernels.fused import FusedState
+        from repro.resilience.faults import FaultInjector, FaultSpec, inject
+
+        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+        cache = PlanCache()
+        x = np.random.default_rng(3).standard_normal(coo.ncols)
+        spec = FaultSpec(site="phase:*.fused_certify", kind="launch",
+                         at_calls=(0,))
+        with inject(FaultInjector(seed=5, specs=[spec])) as inj:
+            donor = cache.runner(coo, mrows=32)
+            runs = [donor.run(x)]
+            twin = cache.runner(self.revalued(coo), mrows=32)
+            runs.append(twin.run(x))
+            assert len(inj.events) == 1
+        assert twin.artifacts is donor.artifacts
+        assert donor._executor.fused_state is False
+        assert isinstance(twin._executor.fused_state, FusedState)
+        assert twin._executor.fused_state is donor.artifacts.fused
+        assert [r.resilience is not None for r in runs] == [True, False]
+        assert len(donor.fused_incidents + twin.fused_incidents) == 1
+        assert np.allclose(runs[1].y, 2.0 * (coo.todense() @ x))
+
+    def test_twin_of_a_verify_demoted_donor_verifies_itself(
+            self, coo, monkeypatch):
+        from repro.gpu_kernels.crsd_runner import FUSED_VERIFY_ENV
+        from repro.resilience.faults import FaultInjector, FaultSpec, inject
+
+        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+        monkeypatch.setenv(FUSED_VERIFY_ENV, "first")
+        cache = PlanCache()
+        x = np.random.default_rng(4).standard_normal(coo.ncols)
+        spec = FaultSpec(site="launch:crsd_fused_kernel", kind="soft",
+                         payload="nan", at_calls=(0,), max_fires=1)
+        with inject(FaultInjector(seed=11, specs=[spec])):
+            donor = cache.runner(coo, mrows=32)
+            demoted = donor.run(x)
+            twin = cache.runner(self.revalued(coo), mrows=32)
+            run = twin.run(x)
+        assert demoted.resilience.attempts[0].outcome == "verify-failed"
+        assert donor._executor.fused_state is False
+        assert not donor._executor.verified
+        assert twin._executor.fused_state is donor.artifacts.fused
+        assert twin._executor.verified and run.resilience is None
+        assert twin.fused_incidents == []
+        assert np.allclose(run.y, 2.0 * (coo.todense() @ x))
 
 
 class TestLRU:

@@ -104,6 +104,30 @@ class TestMemoisation:
         run = ShardedSpMV(crsd, cert).run(x)
         assert np.allclose(run.y, coo.todense() @ x)
 
+    def test_build_params_are_part_of_the_key(self):
+        """A certificate proven for a carrier built with other CRSD
+        params (here, no scatter detection) is not served to a
+        same-pattern twin built with the defaults: its sub-plans index
+        another layout."""
+        from repro.core.crsd import CRSDMatrix
+        from repro.matrices.suite23 import generate
+
+        wang3 = generate("wang3", scale=0.02, seed=0)
+        carrier = CRSDMatrix.from_coo(wang3, mrows=32, detect_scatter=False)
+        cache = PlanCache()
+        cache.runner(carrier, mrows=32)
+        cert = cache.shard_certificate(carrier, 2, mrows=32)
+        twin = revalued(wang3, 0.5)
+        entry = cache.entry(*ingest(twin))
+        runner = cache.shard_runner_for(entry, num_shards=2, shard_index=1,
+                                        mrows=32)
+        assert runner.certificate is not cert
+        assert cache.stats.cert_reuses == 0
+        x = np.random.default_rng(0).standard_normal(twin.ncols)
+        spec = runner.shard_plan.shards[1]
+        rows = slice(spec.row_start, spec.row_end)
+        assert np.allclose(runner.run(x).y[rows], (twin.todense() @ x)[rows])
+
 
 class TestEviction:
     def test_evicting_the_pattern_drops_the_certificate(self):

@@ -3,11 +3,11 @@
 Shard sub-plans keep absolute slab addressing and run against the full
 matrix's ``dia_val`` buffer, so fused certification must bound their
 reads by that buffer, not by the sub-plan's own slab sum.  Every shard
-of a split then runs fused, bit-identical to the batched engine; a
-shard the provers decline leaves a ``fused.uncertified`` event, and a
-crashed shard certification is an incident, never a silent decline.
-The same ladder behaviours are tabled over every CRSD runner, whole
-and sharded, in ``tests/gpu_kernels/test_engine_ladder.py``.
+of a split then runs fused, bit-identical to the batched engine.  The
+ladder behaviours of a shard — a declined shard's ``fused.uncertified``
+event, a crashed certification's incident, verification and demotion
+— are tabled over every CRSD runner, whole and sharded, in
+``tests/gpu_kernels/test_engine_ladder.py``.
 """
 
 import dataclasses
@@ -15,16 +15,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-import repro.gpu_kernels.crsd_runner as runner_mod
 from repro.analyze.bounds import check_bounds
 from repro.analyze.model import build_model
 from repro.analyze.report import AnalysisReport
 from repro.analyze.sharding import certify_shard_plan
 from repro.core.crsd import CRSDMatrix
-from repro.gpu_kernels.crsd_runner import FUSED_RUNG
-from repro.gpu_kernels.fused import FusedCertificate
 from repro.obs.recorder import observe
-from repro.resilience.faults import FaultInjector, FaultSpec, inject
 from repro.shard.executor import ShardedSpMV
 from repro.shard.plan import ShardPlanner
 from tests.conftest import random_diagonal_matrix
@@ -90,128 +86,3 @@ class TestEveryShardFused:
             sub, regions=sub.regions[:-1] + (dataclasses.replace(
                 last, slab_base=last.slab_base + 1),))
         assert bounds_errors(past_end)
-
-
-class TestShardFallbackEvents:
-    def test_clean_decline_records_event_per_shard(self, split,
-                                                   monkeypatch):
-        crsd, cert = split
-        x = np.random.default_rng(2).standard_normal(N)
-        ref = batched_run(crsd, cert, x, monkeypatch)
-        declined = FusedCertificate(ok=False, reasons=("declined",))
-        monkeypatch.setattr(runner_mod, "build_fused_state",
-                            lambda *a, **kw: (None, declined))
-        runner = ShardedSpMV(crsd, cert)
-        with observe("declined") as sess:
-            run = runner.run(x)
-        events = [s for s in sess.spans if s.name == "fused.uncertified"]
-        assert [e.attrs["shard"] for e in events] == [0, 1, 2, 3]
-        assert all(e.attrs["reasons"] == ["declined"] for e in events)
-        assert run.resilience is None and runner.fused_incidents == []
-        assert_identical(run, ref)
-
-    def test_crash_demotes_shard_and_files_incident(self, split,
-                                                    monkeypatch):
-        crsd, cert = split
-        x = np.random.default_rng(3).standard_normal(N)
-        ref = batched_run(crsd, cert, x, monkeypatch)
-        spec = FaultSpec(site="phase:crsd_sharded.fused_certify",
-                         kind="launch", at_calls=(0,))
-        runner = ShardedSpMV(crsd, cert)
-        with observe("crash") as sess, \
-                inject(FaultInjector(seed=5, specs=[spec])):
-            run = runner.run(x)
-        (event,) = [s for s in sess.spans if s.name == "fused.demoted"]
-        assert event.attrs["outcome"] == "fault"
-        assert event.attrs["shard"] == 0
-        report = run.resilience
-        assert report is not None and runner.fused_incidents == [report]
-        assert report.requested == FUSED_RUNG
-        assert report.attempts[0].outcome == "fault"
-        assert report.attempts[-1].outcome == "served"
-        # only the crashed shard falls back; the others run fused
-        states = [e.fused_state for e in runner._executors.values()]
-        assert states[0] is False and all(states[1:])
-        assert_identical(run, ref)
-        # the incident goes on one run only; the shard stays demoted
-        again = runner.run(x)
-        assert again.resilience is None
-        assert runner._executors[0].fused_state is False
-        assert_identical(again, ref)
-
-
-class TestShardVerification:
-    """``REPRO_FUSED_VERIFY`` checks each shard against its own
-    batched launches and demotes only a shard that disagrees."""
-
-    def test_clean_split_passes_and_first_verifies_once(self, split,
-                                                         monkeypatch):
-        crsd, cert = split
-        x = np.random.default_rng(4).standard_normal(N)
-        ref = batched_run(crsd, cert, x, monkeypatch)
-        monkeypatch.setenv("REPRO_FUSED_VERIFY", "first")
-        launches = []
-        real = runner_mod.launch_batched
-
-        def counting(*args, **kwargs):
-            launches.append(args[0])
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(runner_mod, "launch_batched", counting)
-        runner = ShardedSpMV(crsd, cert)
-        first = runner.run(x)
-        assert len(launches) >= 4
-        assert all(e.verified and e.fused_state
-                   for e in runner._executors.values())
-        assert first.resilience is None and runner.fused_incidents == []
-        assert_identical(first, ref)
-        del launches[:]
-        again = runner.run(x)
-        assert launches == []
-        assert_identical(again, ref)
-
-    def test_corrupted_shard_is_caught_and_demoted(self, split,
-                                                   monkeypatch):
-        crsd, cert = split
-        x = np.random.default_rng(5).standard_normal(N)
-        ref = batched_run(crsd, cert, x, monkeypatch)
-        monkeypatch.setenv("REPRO_FUSED_VERIFY", "always")
-        # corrupts y after the second fused launch (shard 1)
-        spec = FaultSpec(site="launch:crsd_fused_kernel", kind="soft",
-                         payload="nan", at_calls=(1,), max_fires=1)
-        runner = ShardedSpMV(crsd, cert)
-        with observe("verify") as sess, \
-                inject(FaultInjector(seed=11, specs=[spec])) as inj:
-            run = runner.run(x)
-            assert any(e.kind == "soft" for e in inj.events)
-        (event,) = [s for s in sess.spans if s.name == "fused.demoted"]
-        assert event.attrs["outcome"] == "verify-failed"
-        assert event.attrs["shard"] == 1
-        assert not np.isnan(run.y).any()
-        assert_identical(run, ref)
-        report = run.resilience
-        assert report is not None and runner.fused_incidents == [report]
-        assert report.attempts[0].outcome == "verify-failed"
-        states = [e.fused_state for e in runner._executors.values()]
-        assert states.pop(1) is False and all(states)
-        again = runner.run(x)
-        assert again.resilience is None
-        assert_identical(again, ref)
-
-    def test_untraced_mismatch_returns_launch_geometry(self, split,
-                                                       monkeypatch):
-        crsd, cert = split
-        x = np.random.default_rng(6).standard_normal(N)
-        monkeypatch.setenv("REPRO_EXECUTOR", "batched")
-        ref = ShardedSpMV(crsd, cert).run(x, trace=False)
-        monkeypatch.delenv("REPRO_EXECUTOR")
-        monkeypatch.setenv("REPRO_FUSED_VERIFY", "always")
-        spec = FaultSpec(site="launch:crsd_fused_kernel", kind="soft",
-                         payload="flip", at_calls=(0,), max_fires=1)
-        runner = ShardedSpMV(crsd, cert)
-        with inject(FaultInjector(seed=3, specs=[spec])):
-            run = runner.run(x, trace=False)
-        assert run.resilience is not None
-        assert np.array_equal(run.y, ref.y)
-        assert (run.trace.work_groups, run.trace.wavefronts) == \
-            (ref.trace.work_groups, ref.trace.wavefronts)
