@@ -11,8 +11,9 @@ dynamic views can be diffed bit-for-bit.
 Entry points: :func:`analyze_plan` / :func:`analyze_matrix` run every
 checker and return an :class:`AnalysisReport`; :func:`build_model` and
 :func:`predict_trace` expose the symbolic model and the closed-form
-(L2-off) trace predictor; :func:`synthesize_trace` adds the L2 split
-with the batched engine's own replay; :func:`required_local_bytes` is
+(L2-off) trace predictor; :func:`synthesize_trace` walks the model's
+segment streams once for every counter and the L2 split, with the
+batched engine's own replay; :func:`required_local_bytes` is
 the standalone capacity probe the autotuner uses.
 """
 

@@ -39,17 +39,32 @@ def predict_trace(model: KernelModel,
     built without the scatter index data (the indirect accesses are
     then unpredictable).
     """
-    scatter = predict_scatter_trace(model, device)
-    if scatter is None:
+    if model.scatter_unindexed:
         return None
-    tr = KernelTrace()
-    plan = model.plan
-    tr.work_groups = plan.num_groups
-    tr.wavefronts = plan.num_groups * -(-model.lanes // device.wavefront_size)
+    tr = launch_counters(model, device)
     for rm in model.regions:
-        nrs = rm.region.nrs
         for acc in rm.accesses:
             _count_affine(tr, acc, model, device)
+    sm = model.scatter
+    if sm is not None:
+        for acc in sm.accesses:
+            _count_affine(tr, acc, model, device)
+        for ind in sm.indirect:
+            _count_indirect(tr, ind, model, device)
+    return tr
+
+
+def launch_counters(model: KernelModel,
+                    device: DeviceSpec = TESLA_C2050) -> KernelTrace:
+    """The counters of every launch of ``model`` that do not depend on
+    addresses: work-groups, wavefronts, local-memory bytes, barriers
+    and flops (the scatter kernel's share included)."""
+    tr = KernelTrace()
+    wf_per_group = -(-model.lanes // device.wavefront_size)
+    tr.work_groups = model.plan.num_groups
+    tr.wavefronts = model.plan.num_groups * wf_per_group
+    for rm in model.regions:
+        nrs = rm.region.nrs
         for op in rm.local_ops:
             if op.op == "store":
                 tr.local_store_bytes += op.lane_bound * model.itemsize * nrs
@@ -57,7 +72,12 @@ def predict_trace(model: KernelModel,
                 tr.local_load_bytes += op.lane_bound * model.itemsize * nrs
         tr.barriers += rm.barriers_per_group * nrs
         tr.flops += rm.flops_per_group * nrs
-    return tr.merge(scatter)
+    sm = model.scatter
+    if sm is not None:
+        tr.work_groups += sm.num_groups
+        tr.wavefronts += sm.num_groups * wf_per_group
+        tr.flops += sm.flops_total
+    return tr
 
 
 def predict_scatter_trace(model: KernelModel,

@@ -189,6 +189,13 @@ class KernelModel:
     def num_dia_groups(self) -> int:
         return self.plan.num_groups
 
+    @property
+    def scatter_unindexed(self) -> bool:
+        """Whether the scatter kernel's gathers lack their baked index
+        data (their traffic is then data-dependent)."""
+        return self.scatter is not None and any(
+            ind.index_grid is None for ind in self.scatter.indirect)
+
 
 _REAL_ITEMSIZE = {"double": 8, "fp64": 8, "single": 4, "fp32": 4}
 

@@ -547,9 +547,8 @@ def _check_trace(whole_model: KernelModel, submodels: Sequence[KernelModel],
     # whole launch through one shared cache; totals must agree modulo
     # the repacking delta, and the DRAM-side difference is the exact
     # halo re-read term
-    whole_l2 = synthesize_trace(whole_model, device, whole_base)
-    shard_l2 = tuple(synthesize_trace(m, device, b)
-                     for m, b in zip(submodels, shard_bases))
+    whole_l2 = synthesize_trace(whole_model, device)
+    shard_l2 = tuple(synthesize_trace(m, device) for m in submodels)
     lhs = sum(t.l2_hits + t.global_load_transactions for t in shard_l2)
     rhs = (whole_l2.l2_hits + whole_l2.global_load_transactions
            + repack.get("global_load_transactions", 0))

@@ -24,16 +24,17 @@ correctness, it only removes
 simulation overhead from launches the prover already understands.
 
 The :class:`KernelTrace` is not measured but *synthesized* by
-:func:`repro.analyze.trace.synthesize_trace`: the closed-form
-:func:`~repro.analyze.predict_trace` (asserted bit-equal to the dynamic
-trace on an L2-disabled device by ``tests/analyze/test_static_trace.py``)
-provides every counter except L2 residency, and the launch's segment
-streams are replayed through the same group-major L2 replay the
-batched engine's :meth:`BatchCtx.finalize` uses to split load
-transactions into DRAM misses and ``l2_hits``.  The synthesized trace
-is computed once per runner and copied per run, so obs metrics,
-roofline derivation and serve's ``predict_gpu_time`` accounting are
-unchanged.
+:func:`repro.analyze.trace.synthesize_trace`: one walk over the
+launch's accesses derives every counter from their segment streams
+and replays those streams through the same group-major L2 replay the
+batched engine's :meth:`BatchCtx.finalize` uses, splitting load
+transactions into DRAM misses and ``l2_hits``
+(``tests/analyze/test_static_trace.py`` holds the walk to the
+closed-form :func:`~repro.analyze.predict_trace` on an L2-free device
+and to the dynamic trace on an L2 device).  Certification walks a plan
+once, only after every prover passed, and the certificate carries the
+trace; it is copied per run, so obs metrics, roofline derivation and
+serve's ``predict_gpu_time`` accounting are unchanged.
 
 :class:`FusedKernel` is deliberately **value-free**: it bakes only the
 plan and the scatter *index* arrays (pattern data) and takes the value
@@ -52,7 +53,6 @@ import numpy as np
 
 from repro.analyze.batch_safety import check_batch_safety
 from repro.analyze.bounds import check_bounds
-from repro.analyze.coalescing import predict_trace
 from repro.analyze.localmem import check_localmem
 from repro.analyze.model import KernelModel, build_model
 from repro.analyze.report import AnalysisReport
@@ -78,7 +78,8 @@ class FusedCertificate:
     ok: bool
     reasons: Tuple[str, ...] = ()
     model: Optional[KernelModel] = None
-    base_trace: Optional[KernelTrace] = None
+    #: the synthesized trace of one traced run (certified plans only)
+    trace: Optional[KernelTrace] = None
 
 
 def certify_plan(
@@ -91,13 +92,13 @@ def certify_plan(
 ) -> FusedCertificate:
     """Run the bounds, local-memory and write-disjointness provers.
 
-    The certificate carries the :class:`KernelModel` and the raw
-    closed-form trace so a passing plan pays for the analysis exactly
-    once.  Certification never raises for an *unprovable* plan — it
-    returns ``ok=False`` with the reasons — but a prover crash
-    propagates (the runner files an incident for that case).
-    ``dia_val_size`` is the size of the bound ``dia_val`` buffer (see
-    :func:`~repro.analyze.model.build_model`).
+    The certificate carries the :class:`KernelModel` and, when every
+    prover passed, the synthesized trace, so a passing plan pays for
+    the analysis and the trace walk exactly once.  Certification never
+    raises for an *unprovable* plan — it returns ``ok=False`` with the
+    reasons — but a prover crash propagates (the runner files an
+    incident for that case).  ``dia_val_size`` is the size of the bound
+    ``dia_val`` buffer (see :func:`~repro.analyze.model.build_model`).
     """
     model = build_model(plan, precision=precision,
                         scatter_colval=scatter_colval,
@@ -112,14 +113,15 @@ def certify_plan(
         reasons.append(
             "scatter write-set disjointness not proved: fused stores "
             "would race")
-    base = predict_trace(model, device)
-    if base is None:
+    if model.scatter_unindexed:
         reasons.append(
             "closed-form trace prediction unavailable (indirect access "
             "without baked index data)")
-    ok = not reasons
-    return FusedCertificate(ok=ok, reasons=tuple(reasons), model=model,
-                            base_trace=base if ok else None)
+    if reasons:
+        return FusedCertificate(ok=False, reasons=tuple(reasons),
+                                model=model)
+    return FusedCertificate(ok=True, model=model,
+                            trace=synthesize_trace(model, device))
 
 
 # ----------------------------------------------------------------------
@@ -163,7 +165,6 @@ class FusedKernel:
                  scatter_colval: Optional[np.ndarray] = None,
                  scatter_rowno: Optional[np.ndarray] = None):
         self.plan = plan
-        pad_lo, pad_hi = 0, plan.ncols
         regions: List[_RegionExec] = []
         for r in plan.regions:
             terms: List[Tuple[int, int]] = []
@@ -177,8 +178,6 @@ class FusedKernel:
                     # certified exactly this)
                     c = g.colv[0] + j if staged else g.colv[j]
                     terms.append((c, g.d_first + j))
-                    pad_lo = min(pad_lo, c)
-                    pad_hi = max(pad_hi, c + r.nrs * r.mrows)
             regions.append(_RegionExec(
                 slab_base=r.slab_base,
                 nnz_per_segment=r.nnz_per_segment,
@@ -187,7 +186,14 @@ class FusedKernel:
                                      plan.nrows - r.start_row)),
                 terms=tuple(terms)))
         self._regions = tuple(regions)
-        self._pad_lo, self._pad_hi = pad_lo, pad_hi
+        # the padded x covers only the windows the terms read,
+        # [min c, max c + span), and x's part of it is copied per call
+        windows = [(c, c + r.nrs * r.mrows)
+                   for r in regions for c, _ in r.terms]
+        self._pad_lo = min((lo for lo, _ in windows), default=0)
+        self._pad_hi = max((hi for _, hi in windows), default=0)
+        self._x_lo = min(max(self._pad_lo, 0), plan.ncols)
+        self._x_hi = max(min(self._pad_hi, plan.ncols), self._x_lo)
         if plan.scatter.num_rows:
             colv = np.asarray(scatter_colval)
             if colv.ndim == 2:  # host layout: transpose to device order
@@ -208,7 +214,9 @@ class FusedKernel:
             off = -self._pad_lo
             xpad = np.zeros((nvec, self._pad_hi - self._pad_lo),
                             dtype=x.dtype)
-            xpad[:, off:off + ncols] = x.reshape(nvec, ncols)
+            x_lo, x_hi = self._x_lo, self._x_hi
+            xpad[:, off + x_lo:off + x_hi] = \
+                x.reshape(nvec, ncols)[:, x_lo:x_hi]
             for r in self._regions:
                 m = r.mrows
                 span = r.nrs * m
@@ -290,5 +298,5 @@ def build_fused_state(
         return None, cert
     kernel = FusedKernel(plan, scatter_colval=scatter_colval,
                          scatter_rowno=scatter_rowno)
-    trace = synthesize_trace(cert.model, device, cert.base_trace)
-    return FusedState(certificate=cert, kernel=kernel, trace=trace), cert
+    return FusedState(certificate=cert, kernel=kernel,
+                      trace=cert.trace), cert

@@ -7,6 +7,11 @@ These tests hold it to that claim bit-for-bit — every counter equal,
 ``dataclasses.asdict`` on both sides — across the whole 23-matrix
 bench suite, both precisions, local memory on and off, and the
 multi-vector SpMM variant.
+
+``repro.analyze.synthesize_trace`` is the one walk the fused engine
+and the shard certificate trust for every counter; it is held to the
+closed form on the L2-free device and to the batched engine's dynamic
+trace on an L2 device, across the same variants.
 """
 
 import dataclasses
@@ -14,8 +19,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.analyze import analyze_matrix, build_model, predict_trace
-from repro.bench.runner import bench_scale, effective_scale
+import repro.analyze.trace as trace_mod
+from repro.analyze import (
+    analyze_matrix,
+    build_model,
+    predict_trace,
+    synthesize_trace,
+)
+from repro.bench.runner import bench_scale, effective_scale, scaled_device
 from repro.codegen.plan import build_plan
 from repro.core.crsd import CRSDMatrix, compatible_wavefront
 from repro.gpu_kernels.crsd_runner import CrsdSpMM, CrsdSpMV
@@ -117,3 +128,86 @@ class TestReportMetrics:
         assert report.store_coalescing_efficiency == pytest.approx(
             tr.store_coalescing_efficiency(dev.transaction_bytes))
         assert_bit_identical(report.predicted, tr)
+
+
+#: (use_local_memory, nvec) variants the walk is held to
+WALK_VARIANTS = ((True, 1), (False, 1), (True, 3))
+
+
+def walk_cases(spec):
+    """``(crsd, plan, precision)`` over mrows 32/128 x local memory on
+    and off x nvec x precision for one suite matrix (scale 0.02, at
+    least 1000 rows)."""
+    coo = spec.generate(scale=effective_scale(spec, 0.02, min_rows=1000),
+                        seed=0)
+    for mrows in (32, 128):
+        crsd = CRSDMatrix.from_coo(
+            coo, mrows=mrows, wavefront_size=compatible_wavefront(mrows))
+        for use_local, nvec in WALK_VARIANTS:
+            plan = build_plan(crsd, use_local_memory=use_local, nvec=nvec)
+            for precision in ("double", "single"):
+                yield crsd, plan, precision
+
+
+def crsd_model(crsd, plan, precision="double"):
+    return build_model(plan, precision=precision,
+                       scatter_colval=crsd.scatter_colval,
+                       scatter_rowno=crsd.scatter_rowno)
+
+
+class TestTraceWalk:
+    """The synthesized trace's one walk gives every counter exactly."""
+
+    @pytest.mark.parametrize(
+        "spec", SUITE, ids=lambda s: f"{s.number:02d}-{s.name}")
+    def test_walk_equals_closed_form_without_l2(self, spec):
+        for crsd, plan, precision in walk_cases(spec):
+            model = crsd_model(crsd, plan, precision)
+            assert_bit_identical(predict_trace(model, NO_L2),
+                                 synthesize_trace(model, NO_L2))
+
+    @pytest.mark.parametrize(
+        "spec", SUITE, ids=lambda s: f"{s.number:02d}-{s.name}")
+    def test_walk_equals_dynamic_with_l2(self, spec, monkeypatch):
+        monkeypatch.setenv("REPRO_EXECUTOR", "batched")
+        device = scaled_device(0.02)
+        rng = np.random.default_rng(11)
+        for crsd, plan, precision in walk_cases(spec):
+            nvec = plan.nvec
+            if nvec > 1:
+                runner = CrsdSpMM(crsd, nvec=nvec, device=device,
+                                  precision=precision)
+                x = rng.standard_normal((crsd.ncols, nvec))
+            else:
+                runner = CrsdSpMV(crsd, device=device, precision=precision,
+                                  use_local_memory=plan.use_local_memory)
+                x = rng.standard_normal(crsd.ncols)
+            dynamic = runner.run(x).trace
+            assert_bit_identical(
+                synthesize_trace(crsd_model(crsd, runner.plan, precision),
+                                 device), dynamic)
+
+    @pytest.mark.parametrize("name", ["nemeth21", "wang3"])
+    def test_batch_limit_boundary(self, name, monkeypatch):
+        """Forcing the stacked grid down to 100 lanes splits every
+        access across batches (one group per batch at mrows 128, three
+        straddling access boundaries at mrows 32); the traces must not
+        change."""
+        device = scaled_device(0.02)
+        models = [crsd_model(crsd, plan, precision) for crsd, plan,
+                  precision in walk_cases(get_spec(name))]
+        wide = [(synthesize_trace(m, device), synthesize_trace(m, NO_L2))
+                for m in models]
+        monkeypatch.setattr(trace_mod, "WALK_BATCH_LANES", 100)
+        narrow = [(synthesize_trace(m, device), synthesize_trace(m, NO_L2))
+                  for m in models]
+        assert narrow == wide
+
+    def test_unindexed_scatter_raises(self, rng):
+        coo = random_diagonal_matrix(rng, n=200, scatter=4)
+        crsd = CRSDMatrix.from_coo(coo, mrows=32)
+        model = build_model(build_plan(crsd))
+        assert model.scatter_unindexed
+        assert predict_trace(model, NO_L2) is None
+        with pytest.raises(ValueError, match="index data"):
+            synthesize_trace(model, NO_L2)

@@ -178,7 +178,7 @@ class TestCertificationGate:
 
         monkeypatch.setenv("REPRO_EXECUTOR", "fused")
         declined = FusedCertificate(ok=False, reasons=("declined",),
-                                    model=None, base_trace=None)
+                                    model=None, trace=None)
         monkeypatch.setattr(runner_mod, "build_fused_state",
                             lambda *a, **kw: (None, declined))
         coo = random_diagonal_matrix(rng, n=200, scatter=3)
@@ -216,7 +216,47 @@ class TestCertificationGate:
                             scatter_colval=crsd.scatter_colval,
                             scatter_rowno=crsd.scatter_rowno)
         assert cert.ok and cert.reasons == ()
-        assert cert.base_trace is not None
+        assert cert.trace is not None
+
+    def test_certification_walks_once_without_closed_form(
+            self, rng, monkeypatch):
+        """A fused state costs one trace walk and no closed-form
+        prediction; a plan the provers decline is never walked."""
+        import repro.analyze.coalescing as coalescing
+        import repro.gpu_kernels.fused as fused_mod
+
+        calls = {"predict_trace": 0, "_affine_traffic": 0,
+                 "synthesize_trace": 0}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(coalescing, "predict_trace")
+        counting(coalescing, "_affine_traffic")
+        counting(fused_mod, "synthesize_trace")
+        coo = random_diagonal_matrix(rng, n=200, scatter=3)
+        crsd = CRSDMatrix.from_coo(coo, mrows=32)
+        runner = CrsdSpMV(crsd)
+        state, cert = fused_mod.build_fused_state(
+            runner.plan, runner.device, "double",
+            scatter_colval=crsd.scatter_colval,
+            scatter_rowno=crsd.scatter_rowno)
+        assert state is not None and state.trace is cert.trace
+        assert calls == {"predict_trace": 0, "_affine_traffic": 0,
+                         "synthesize_trace": 1}
+        tiny = runner.device.with_overrides(local_mem_per_cu_bytes=8)
+        state, cert = fused_mod.build_fused_state(
+            runner.plan, tiny, "double",
+            scatter_colval=crsd.scatter_colval,
+            scatter_rowno=crsd.scatter_rowno)
+        assert state is None and not cert.ok and cert.trace is None
+        assert calls == {"predict_trace": 0, "_affine_traffic": 0,
+                         "synthesize_trace": 1}
 
 
 class TestTemplateReuse:
