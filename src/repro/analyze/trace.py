@@ -5,14 +5,15 @@ execution of a model records, every counter and the L2 split, from a
 single walk over its launch units: each region codelet in launch
 order, then the scatter kernel.  Per unit it stacks every global
 access — affine and indirect, in program order — into one
-``(accesses × groups, lanes)`` grid of *byte* addresses and runs
-:func:`~repro.ocl.memory.segment_streams` over it once (in batches of
-at most :data:`WALK_BATCH_LANES` lanes).  That one pass yields each
-access's requests (active wavefronts), transactions (segments per
-group) and useful bytes, and the per-group segment streams, which are
-replayed through the same :func:`~repro.ocl.memory.replay_streams` the
-batched engine's :meth:`~repro.ocl.executor.BatchCtx.finalize` uses:
-the absorbed load transactions move into ``l2_hits``.  The counters
+``(accesses × groups, lanes)`` grid of *byte* addresses and counts it
+with one :func:`~repro.ocl.memory.count_rows` pass (in batches of at
+most :data:`WALK_BATCH_LANES` lanes), the helper the batched engine's
+:class:`~repro.ocl.executor.BatchCtx` counts with.  That pass yields
+each access's requests (active wavefronts), transactions (segments per
+group) and useful bytes, and the access-major segment rows, which go
+through the same :func:`~repro.ocl.memory.replay_rows` the batched
+engine's :meth:`~repro.ocl.executor.BatchCtx.finalize` uses: the
+absorbed load transactions move into ``l2_hits``.  The counters
 that do not depend on addresses (geometry, local-memory bytes,
 barriers, flops) are :func:`~repro.analyze.coalescing.launch_counters`.
 
@@ -32,7 +33,7 @@ import numpy as np
 from repro.analyze.coalescing import _itemsize_of, launch_counters
 from repro.analyze.model import IndirectAccess, KernelModel
 from repro.ocl.device import DeviceSpec, TESLA_C2050
-from repro.ocl.memory import SegmentCache, replay_streams, segment_streams
+from repro.ocl.memory import SegmentCache, count_rows, replay_rows
 from repro.ocl.trace import KernelTrace
 
 __all__ = ["WALK_BATCH_LANES", "synthesize_trace"]
@@ -40,9 +41,9 @@ __all__ = ["WALK_BATCH_LANES", "synthesize_trace"]
 #: most lanes one stacked address grid holds (bounds the walk's memory)
 WALK_BATCH_LANES = 1 << 18
 
-#: one access's per-group segment streams, as :func:`replay_streams`
-#: takes them: ``(is_load, buffer, segments, offsets)``
-_Stream = Tuple[bool, str, np.ndarray, np.ndarray]
+#: one launch unit's rows, as :func:`replay_rows` takes them:
+#: ``(segments, offsets, buffers, is_load)``
+_Rows = Tuple[np.ndarray, np.ndarray, List[str], np.ndarray]
 
 _NO_LO = np.iinfo(np.int64).min
 _NO_HI = np.iinfo(np.int64).max
@@ -65,12 +66,10 @@ def _scatter_program(model: KernelModel) -> List[object]:
 
 
 def _walk_unit(accesses: Sequence[object], model: KernelModel,
-               device: DeviceSpec, tr: KernelTrace) -> List[_Stream]:
+               device: DeviceSpec, tr: KernelTrace) -> _Rows:
     """Count one launch unit's ``accesses`` (program order) into ``tr``
-    and return their per-group segment streams."""
+    and return their access-major segment rows."""
     n = len(accesses)
-    if not n:
-        return []
     # per-access parameters of the affine rule; indirect accesses get
     # placeholders and have their rows overwritten from the index grid
     params = np.zeros((7, n), dtype=np.int64)
@@ -100,10 +99,10 @@ def _walk_unit(accesses: Sequence[object], model: KernelModel,
     total = int(starts[-1])
     acc_of_row = np.repeat(np.arange(n), rows)
     grp_of_row = np.arange(total, dtype=np.int64) - starts[acc_of_row]
-    w, tbytes = device.wavefront_size, device.transaction_bytes
-    nwf = -(-lanes // w)
-    lane = np.arange(lanes, dtype=np.int64)
-    step = max(1, WALK_BATCH_LANES // max(lanes, 1))
+    w = device.wavefront_size
+    span = -(-lanes // w) * w        # padding lanes fall outside bounds
+    lane = np.arange(span, dtype=np.int64)
+    step = max(1, WALK_BATCH_LANES // max(span, 1))
     seg_parts: List[np.ndarray] = []
     offsets = np.zeros(total + 1, dtype=np.int64)
     for r0 in range(0, total, step):
@@ -125,35 +124,14 @@ def _walk_unit(accesses: Sequence[object], model: KernelModel,
             idx[lo - r0:hi - r0, :width] = grid
             active[lo - r0:hi - r0] = False
             active[lo - r0:hi - r0, :width] = live
-        _, segments, offs, _ = segment_streams(
-            idx * isz[a][:, None], 1, w, tbytes, active)
+        idx *= isz[a][:, None]       # byte addresses
+        segments, offs = count_rows(tr, idx, active, isz[a], is_load[a],
+                                    w, device.transaction_bytes)
         seg_parts.append(segments)
         offsets[r0 + 1:r1 + 1] = offs[1:] + offsets[r0]
-        # per row: active wavefronts, transactions, useful bytes
-        padded = active
-        if nwf * w != lanes:
-            padded = np.zeros((r1 - r0, nwf * w), dtype=bool)
-            padded[:, :lanes] = active
-        req = padded.reshape(r1 - r0, nwf, w).any(axis=2).sum(axis=1)
-        txn = np.diff(offs)
-        useful = active.sum(axis=1) * isz[a]
-        ld = is_load[a]
-        st = ~ld
-        tr.global_load_requests += int(req[ld].sum())
-        tr.global_load_transactions += int(txn[ld].sum())
-        tr.global_load_bytes_useful += int(useful[ld].sum())
-        tr.global_store_requests += int(req[st].sum())
-        tr.global_store_transactions += int(txn[st].sum())
-        tr.global_store_bytes_useful += int(useful[st].sum())
     segments = (np.concatenate(seg_parts) if seg_parts
                 else np.empty(0, dtype=np.int64))
-    streams: List[_Stream] = []
-    for i, acc in enumerate(accesses):
-        offs = offsets[starts[i]:starts[i + 1] + 1]
-        lo = int(offs[0])
-        streams.append((bool(is_load[i]), acc.buffer,
-                        segments[lo:int(offs[-1])], offs - lo))
-    return streams
+    return segments, offsets, [acc.buffer for acc in accesses], is_load
 
 
 def synthesize_trace(model: KernelModel,
@@ -181,9 +159,11 @@ def synthesize_trace(model: KernelModel,
         units.append((model.scatter.num_groups, _scatter_program(model)))
     hits = 0
     for num_groups, accesses in units:
-        streams = _walk_unit(accesses, model, device, tr)
+        segments, offsets, buffers, is_load = _walk_unit(
+            accesses, model, device, tr)
         if cache is not None:
-            hits += replay_streams(cache, streams, num_groups)[1]
+            hits += replay_rows(cache, segments, offsets, buffers, is_load,
+                                num_groups)[1]
     tr.global_load_transactions -= hits
     tr.l2_hits += hits
     return tr

@@ -52,7 +52,8 @@ from repro.ocl.memory import (
     Buffer,
     LocalBuffer,
     SegmentCache,
-    replay_streams,
+    count_rows,
+    replay_rows,
     segment_streams,
     wavefront_segments,
     wavefront_transactions,
@@ -77,6 +78,10 @@ EXECUTOR_MODES = ("batched", "pergroup", "fused")
 #: most lanes one :func:`launch_grid` chunk spans: bounds the
 #: ``(groups, lanes)`` arrays a batched kernel statement materialises
 BATCH_CHUNK_LANES = 1 << 15
+
+#: most lanes of global accesses a :class:`BatchCtx` holds before it
+#: runs their one stacked segment pass
+BATCH_PENDING_LANES = 1 << 16
 
 
 def executor_mode() -> str:
@@ -372,16 +377,23 @@ class BatchCtx:
 
     Trace parity with the per-group engine:
 
-    - requests / useful bytes / store transactions come from
-      :func:`~repro.ocl.memory.segment_streams` over the whole lane
-      grid — the exact per-wavefront segment rule of
-      :func:`~repro.ocl.memory.wavefront_segments`, row by row;
-    - the L2 model is order-sensitive (LRU), so segment streams are
-      *deferred* into an access log and :meth:`finalize` replays them
-      with :func:`~repro.ocl.memory.replay_streams` in per-group
-      execution order (group-major, statements in program order) —
-      producing the identical hit/miss sequence the sequential engine
-      would.
+    - :meth:`gload`/:meth:`gstore` only *record* the access: its byte
+      addresses and active lanes are copied into pending grids (a
+      kernel may mutate its index or mask arrays in place afterwards).
+      When the grids are full (:data:`BATCH_PENDING_LANES` lanes, or
+      one access if that is larger), and at :meth:`finalize`, one
+      :func:`~repro.ocl.memory.count_rows` pass over the stacked rows
+      (one per access and group) applies the exact per-wavefront
+      segment rule of :func:`~repro.ocl.memory.wavefront_segments` and
+      charges requests, transactions and useful bytes;
+    - the L2 model is order-sensitive (LRU), so :meth:`finalize`
+      replays the rows' segments with
+      :func:`~repro.ocl.memory.replay_rows` in per-group execution
+      order (group-major, statements in program order), producing the
+      identical hit/miss sequence the sequential engine would, and
+      moves the hits from load transactions to ``l2_hits``;
+    - atomics (:meth:`gatomic_add`) bypass the L2 model and are
+      counted at once.
     """
 
     def __init__(self, device: DeviceSpec, group_ids: np.ndarray,
@@ -400,8 +412,17 @@ class BatchCtx:
         self._trace = trace
         self._cache = cache
         self._local_bytes = 0
-        # deferred L2 accesses: (is_load, buf_id, segments, offsets)
-        self._log: List[Tuple[bool, int, np.ndarray, np.ndarray]] = []
+        # recorded, not yet counted: per access (is_load, buf_id,
+        # itemsize); its rows of byte addresses and live lanes sit in
+        # the pending grids, allocated on the first record
+        self._pending: List[Tuple[bool, int, int]] = []
+        self._addr: Optional[np.ndarray] = None
+        self._live: Optional[np.ndarray] = None
+        # counted, awaiting the L2 replay: per access its buffer id and
+        # load flag, per pass its segments and per-row counts
+        self._replay_access: List[Tuple[int, bool]] = []
+        self._replay_segments: List[np.ndarray] = []
+        self._replay_counts: List[np.ndarray] = []
 
     def sub(self, lo: int, hi: int) -> "BatchCtx":
         """A child context for work-groups ``lo..hi-1`` (one uniform
@@ -411,23 +432,70 @@ class BatchCtx:
         return BatchCtx(self.device, np.arange(lo, hi, dtype=np.int64),
                         self.local_size, self._trace, self._cache)
 
-    def _segments_grid(self, idx: np.ndarray, itemsize: int,
-                       mask: np.ndarray | None):
-        """Per-wavefront transaction segments for all groups at once
-        (see :func:`~repro.ocl.memory.segment_streams`)."""
+    def _record(self, is_load: bool, buf: Buffer, idx: np.ndarray,
+                mask: np.ndarray | None) -> None:
+        """Defer one global access's trace accounting (see the class
+        docstring): copy its byte addresses and live lanes into the
+        pending grids, and count them once the grids are full."""
+        groups = self.num_groups
+        if not groups:
+            return
+        if self._addr is None:
+            w = self.device.wavefront_size
+            span = -(-self.local_size // w) * w
+            rows = groups * max(1, BATCH_PENDING_LANES // (groups * span))
+            self._addr = np.empty((rows, span), dtype=np.int64)
+            self._live = np.zeros((rows, span), dtype=bool)
+        r0 = len(self._pending) * groups
+        lanes = self.local_size
+        addr = self._addr[r0:r0 + groups, :lanes]
+        np.multiply(idx, buf.itemsize, out=addr)
+        if mask is None:
+            np.greater_equal(addr, 0, out=self._live[r0:r0 + groups, :lanes])
+        else:
+            self._live[r0:r0 + groups, :lanes] = mask
+        self._pending.append((is_load, id(buf), buf.itemsize))
+        if r0 + groups == self._addr.shape[0]:
+            self._count_pending()
+
+    def _count_pending(self) -> None:
+        """One stacked segment pass over every recorded access."""
+        pending, self._pending = self._pending, []
+        if not pending:
+            return
+        groups = self.num_groups
+        rows = len(pending) * groups
         dev = self.device
-        return segment_streams(idx, itemsize, dev.wavefront_size,
-                               dev.transaction_bytes, mask)
+        segments, offsets = count_rows(
+            self._trace, self._addr[:rows], self._live[:rows],
+            np.repeat([p[2] for p in pending], groups),
+            np.repeat([p[0] for p in pending], groups),
+            dev.wavefront_size, dev.transaction_bytes)
+        if self._cache is not None:
+            self._replay_access.extend((p[1], p[0]) for p in pending)
+            self._replay_segments.append(segments)
+            self._replay_counts.append(np.diff(offsets))
 
     def finalize(self) -> None:
-        """Replay the deferred segment streams through the L2 model in
-        per-group execution order and charge load transactions/hits.
-        Idempotent; a no-op when tracing is off or no L2 is modelled."""
-        log, self._log = self._log, []
-        if self._cache is None or self._trace is None or not log:
+        """Count the recorded accesses, then replay their segment
+        streams through the L2 model in per-group execution order and
+        move the absorbed load transactions into ``l2_hits``.
+        Idempotent; a no-op when tracing is off."""
+        self._count_pending()
+        access = self._replay_access
+        if not access:
             return
-        misses, hits = replay_streams(self._cache, log, self.num_groups)
-        self._trace.global_load_transactions += misses
+        segments = np.concatenate(self._replay_segments)
+        counts = np.concatenate(self._replay_counts)
+        self._replay_access = []
+        self._replay_segments = []
+        self._replay_counts = []
+        offsets = np.zeros(counts.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        buffers, loads = zip(*access)
+        _, hits = replay_rows(self._cache, segments, offsets, buffers,
+                              loads, self.num_groups)
+        self._trace.global_load_transactions -= hits
         self._trace.l2_hits += hits
 
     # ------------------------------------------------------------------
@@ -443,15 +511,7 @@ class BatchCtx:
         if mask is not None:
             mask = self._grid(mask, bool)
         if self._trace is not None:
-            req, segments, offsets, useful = self._segments_grid(
-                idx, buf.itemsize, mask
-            )
-            self._trace.global_load_requests += req
-            self._trace.global_load_bytes_useful += useful
-            if self._cache is not None:
-                self._log.append((True, id(buf), segments, offsets))
-            else:
-                self._trace.global_load_transactions += int(segments.size)
+            self._record(True, buf, idx, mask)
         if mask is None:
             return buf.data[idx]
         out = np.zeros(self._shape, dtype=buf.data.dtype)
@@ -465,16 +525,9 @@ class BatchCtx:
         if mask is not None:
             mask = self._grid(mask, bool)
         if self._trace is not None:
-            req, segments, offsets, useful = self._segments_grid(
-                idx, buf.itemsize, mask
-            )
-            self._trace.global_store_requests += req
-            self._trace.global_store_transactions += int(segments.size)
-            self._trace.global_store_bytes_useful += useful
-            if self._cache is not None:
-                # write-allocate: lines become resident during replay,
-                # but the DRAM write-back is charged in full above
-                self._log.append((False, id(buf), segments, offsets))
+            # write-allocate: lines become resident during replay, but
+            # the DRAM write-back is charged in full
+            self._record(False, buf, idx, mask)
         if mask is None:
             buf.data[idx] = values
         else:
@@ -487,9 +540,10 @@ class BatchCtx:
         sequential engine)."""
         idx = self._grid(idx, np.int64)
         if self._trace is not None:
-            req, segments, _, useful = self._segments_grid(
-                idx, buf.itemsize, None
-            )
+            dev = self.device
+            req, segments, _, useful = segment_streams(
+                idx, buf.itemsize, dev.wavefront_size,
+                dev.transaction_bytes)
             txn = int(segments.size)
             self._trace.global_load_requests += req
             self._trace.global_load_transactions += txn

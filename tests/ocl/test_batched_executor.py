@@ -12,6 +12,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+import repro.ocl.executor as executor_mod
+import repro.ocl.memory as memory_mod
+from repro.bench.runner import effective_scale, scaled_device
+from repro.formats.dia import DIAMatrix
+from repro.gpu_kernels.dia import DiaSpMV
+from repro.matrices.suite23 import SUITE
 from repro.ocl.device import TESLA_C2050
 from repro.ocl.errors import LaunchError, LocalMemoryError
 from repro.ocl.executor import (
@@ -134,6 +140,92 @@ class TestParity:
         (tr_p, _), (tr_b, _) = run_both(kernel, 8, 32, make_args, device=dev)
         assert trace_dict(tr_p) == trace_dict(tr_b)
         assert tr_b.l2_hits > 0
+
+
+def mutating_kernel(c, a, b):
+    """Reuses its index and mask arrays in place right after each
+    global access, as a kernel may: the deferred trace pass must have
+    copied them."""
+    idx = (c.group_id * 37 + c.lid * 5) % 200
+    mask = idx < 150
+    v = c.gload(a, idx, mask=mask)
+    idx[...] = (c.group_id * c.local_size + c.lid) % 200
+    mask[...] = idx % 3 != 0
+    c.gstore(b, idx, v, mask=mask)
+    idx += 64
+    idx %= 200
+    mask[...] = False
+    w = c.gload(a, idx)
+    idx[...] = -1
+    c.gstore(b, c.lid % 16, w * 2.0, mask=c.lid < 16)
+
+
+class TestDeferredTracePass:
+    """gload/gstore record their accesses; one stacked segment pass
+    counts them, at finalize or once enough lanes are pending."""
+
+    #: an L2 of a few lines, so hit counts are order-sensitive
+    DEVICE = TESLA_C2050.with_overrides(l2_bytes=6 * 128)
+
+    @staticmethod
+    def make_args(ctx):
+        return (ctx.alloc(np.arange(200, dtype=np.float64)),
+                ctx.alloc_zeros(200))
+
+    @pytest.mark.parametrize("local_size", [32, 48])
+    def test_in_place_mutation_after_access(self, local_size):
+        (tr_p, (_, y_p)), (tr_b, (_, y_b)) = run_both(
+            mutating_kernel, 7, local_size, self.make_args,
+            device=self.DEVICE)
+        assert np.array_equal(y_p.data, y_b.data)
+        assert trace_dict(tr_p) == trace_dict(tr_b)
+        assert tr_b.l2_hits > 0
+
+    @pytest.mark.parametrize("pending", [1, 100, 1000])
+    def test_pending_limit_does_not_change_the_trace(self, pending,
+                                                     monkeypatch):
+        """Counting every access on its own, or a few at a time, gives
+        the trace of one pass at finalize and of the per-group engine."""
+        want, _ = run_both(mutating_kernel, 7, 48, self.make_args,
+                           device=self.DEVICE)[0]
+        monkeypatch.setattr(executor_mod, "BATCH_PENDING_LANES", pending)
+        ctx = Context(self.DEVICE)
+        got = launch_batched(mutating_kernel, 7, 48, self.make_args(ctx),
+                             device=self.DEVICE)
+        assert trace_dict(got) == trace_dict(want)
+
+    def test_dia_launch_counts_in_one_or_two_passes(self, monkeypatch):
+        """A batched DIA launch on a 1,000-row suite matrix (one chunk)
+        runs the segment rule at most twice and the L2 as one replay,
+        never through the per-line ``SegmentCache.access``."""
+        spec = next(s for s in SUITE if s.name == "crystk03")
+        scale = effective_scale(spec, 0.02, 1000)
+        coo = spec.generate(scale=scale, seed=1)
+        assert coo.nrows == 1000
+        monkeypatch.setenv("REPRO_EXECUTOR", "batched")
+        calls = {"segment_rows": 0, "access": 0, "replay": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(memory_mod, "segment_rows", counted(
+            "segment_rows", memory_mod.segment_rows))
+        monkeypatch.setattr(SegmentCache, "access", counted(
+            "access", SegmentCache.access))
+        monkeypatch.setattr(SegmentCache, "replay", counted(
+            "replay", SegmentCache.replay))
+        runner = DiaSpMV(DIAMatrix.from_coo(coo),
+                         device=scaled_device(scale, TESLA_C2050))
+        x = np.random.default_rng(1).standard_normal(coo.ncols)
+        run = runner.run(x)
+        assert np.allclose(run.y, coo.matvec(x))
+        assert run.trace.l2_hits > 0
+        assert 1 <= calls["segment_rows"] <= 2
+        assert calls == {"segment_rows": calls["segment_rows"],
+                         "access": 0, "replay": 1}
 
 
 class TestBatchedLaunch:
