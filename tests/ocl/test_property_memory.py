@@ -258,18 +258,3 @@ def test_cyclic_stream_larger_than_cache(capacity, monkeypatch):
     slow = SegmentCache(capacity * 128, 128)
     assert slow.access(0, segs) == segs.size
     assert np.array_equal(fast.resident(), slow.resident())
-
-
-@settings(max_examples=100, deadline=None)
-@given(keys=st.lists(st.integers(0, 40), max_size=60),
-       shift=st.sampled_from([0, 40, 56]))
-def test_stable_sort_matches_stable_argsort(keys, shift):
-    """The replay's sort of packed (key, position) pairs, and its
-    fallback when the pair does not fit an int64 (``shift`` 56)."""
-    arr = np.array(keys, dtype=np.int64) << shift
-    if not arr.size:
-        return
-    order, ranked = memory._stable_sort(arr)
-    want = np.argsort(arr, kind="stable")
-    assert np.array_equal(order, want)
-    assert np.array_equal(ranked, arr[want])
