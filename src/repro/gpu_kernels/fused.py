@@ -2,12 +2,13 @@
 
 The default execution engine for CRSD runners (``REPRO_EXECUTOR=fused``)
 runs a whole CrsdSpMV/CrsdSpMM launch, or one shard's launches, as a
-handful of whole-matrix NumPy expressions — one strided
-multiply-accumulate per diagonal of the dia phase, one gather-multiply
-per ELL column of the scatter phase — instead of simulating the kernel
-per work-group or per grid statement.  That is only sound when the
-launch is *proven* well-behaved, so entry is gated on the static
-analyzer:
+few NumPy statements per CRSD region — one row-gather of the region's
+x windows, one multiply of that block against the region's slab, one
+contiguous add per diagonal in plan order, one slice store (the
+scatter phase likewise: one gather-multiply, one add per ELL column)
+— instead of simulating the kernel per work-group or per grid
+statement.  That is only sound when the launch is *proven*
+well-behaved, so entry is gated on the static analyzer:
 
 - :func:`~repro.analyze.bounds.check_bounds` — every baked index
   in-range, so the fused expressions can drop the per-lane guards;
@@ -59,6 +60,7 @@ from repro.analyze.report import AnalysisReport
 from repro.analyze.trace import synthesize_trace
 from repro.codegen.plan import KernelPlan
 from repro.ocl.device import DeviceSpec
+from repro.ocl.errors import LaunchError
 from repro.ocl.trace import KernelTrace
 
 __all__ = ["FusedCertificate", "FusedKernel", "FusedState",
@@ -132,68 +134,81 @@ class _RegionExec:
     """One region's fused dia phase, fully precomputed from the plan."""
 
     slab_base: int
-    nnz_per_segment: int
     nrs: int
     mrows: int
     start_row: int
     #: served y elements: ``min(nrs * mrows, nrows - start_row)``
     row_count: int
-    #: per member diagonal, in emission order: ``(x window start
-    #: relative to the padded x, dia_val diagonal slot)``
-    terms: Tuple[Tuple[int, int], ...]
+    #: per member diagonal, in storage (= emission) order: the start of
+    #: its x window in the padded x
+    starts: np.ndarray
 
 
 class FusedKernel:
     """Whole-matrix execution of one certified CRSD plan.
 
     Call signature: ``kernel(dia_val, scatter_val, x, y)`` over the
-    flat device-layout arrays (column-major for SpMM); ``y`` is written
-    in place, assumed pre-zeroed.  Only the plan and the scatter
-    *index* arrays are baked — the instance holds no matrix values and
-    is shared across same-pattern matrices.
+    flat device-layout arrays (column-major for SpMM), all of one dtype
+    (the ``out=`` products round in it, so a mix raises
+    :class:`~repro.ocl.errors.LaunchError`); ``y`` is written in place.
+    Only the plan and the scatter *index* arrays are baked — the
+    instance holds no matrix values and is shared across same-pattern
+    matrices.
 
-    The arithmetic reproduces the generated codelets bit-for-bit: each
-    diagonal contributes ``acc += v * x_window`` against a zero-padded
-    x (the codelets' masked loads also return 0, so both sides execute
-    the same IEEE operations in the same group/diagonal order), the
-    prover-certified prefix guard turns the y store into one contiguous
-    slice assignment, and the scatter phase overwrites its rows after
-    the dia phase exactly like the second launch does.
+    A region is one block: one row-gather of its ``nt`` x windows (all
+    vectors at once) from a zero-padded x, one multiply against the
+    slab viewed term-major, ``nt`` adds into an accumulator that starts
+    at ``+0``, one slice store.  That reproduces the generated codelets
+    bit-for-bit: every row forms the same products (masked loads return
+    0 like the padding; fill zeros are multiplied too, so ``0 * inf``
+    stays NaN) and adds them to ``+0`` in diagonal order, and the
+    prover-certified prefix guard makes the store one slice (a NaN's
+    sign and payload aside: which NaN an add of two returns depends on
+    numpy's loop, see :func:`~repro.gpu_kernels.crsd_runner.y_bits`).  The
+    scatter phase is one gather-multiply, one add per ELL column, and
+    an overwrite of its rows after the dia phase, like the second
+    launch.
     """
 
     def __init__(self, plan: KernelPlan,
                  scatter_colval: Optional[np.ndarray] = None,
                  scatter_rowno: Optional[np.ndarray] = None):
         self.plan = plan
-        regions: List[_RegionExec] = []
+        cols: List[List[int]] = []
         for r in plan.regions:
-            terms: List[Tuple[int, int]] = []
+            c: List[int] = []
             for g in r.groups:
                 staged = (plan.use_local_memory and plan.nvec == 1
                           and g.kind == "AD")
-                for j in range(g.ndiags):
-                    # an AD tile provably holds the contiguous x window
-                    # starting at colv[0]; tile[lid + j] is the direct
-                    # load at colv[0] + j (the local-memory prover
-                    # certified exactly this)
-                    c = g.colv[0] + j if staged else g.colv[j]
-                    terms.append((c, g.d_first + j))
-            regions.append(_RegionExec(
-                slab_base=r.slab_base,
-                nnz_per_segment=r.nnz_per_segment,
-                nrs=r.nrs, mrows=r.mrows, start_row=r.start_row,
+                # an AD tile provably holds the contiguous x window
+                # starting at colv[0]; tile[lid + j] is the direct load
+                # at colv[0] + j (the local-memory prover certified it)
+                c.extend(g.colv[0] + j if staged else g.colv[j]
+                         for j in range(g.ndiags))
+            # the term-major slab view reads term t from slot t
+            d = [g.d_first + j for g in r.groups for j in range(g.ndiags)]
+            if d != list(range(len(c))) or \
+                    r.nnz_per_segment != len(c) * r.mrows:
+                raise ValueError(f"region {r.index}: diagonals do not "
+                                 "fill the segment slots in order")
+            cols.append(c)
+        self._pad_lo = min((min(c) for c in cols if c), default=0)
+        self._regions = tuple(
+            _RegionExec(
+                slab_base=r.slab_base, nrs=r.nrs, mrows=r.mrows,
+                start_row=r.start_row,
                 row_count=max(0, min(r.nrs * r.mrows,
                                      plan.nrows - r.start_row)),
-                terms=tuple(terms)))
-        self._regions = tuple(regions)
-        # the padded x covers only the windows the terms read,
-        # [min c, max c + span), and x's part of it is copied per call
-        windows = [(c, c + r.nrs * r.mrows)
-                   for r in regions for c, _ in r.terms]
-        self._pad_lo = min((lo for lo, _ in windows), default=0)
-        self._pad_hi = max((hi for _, hi in windows), default=0)
+                starts=np.array(c, dtype=np.int64) - self._pad_lo)
+            for r, c in zip(plan.regions, cols))
+        # the padded x holds a window of the widest span at every start
+        self._span = max((r.nrs * r.mrows for r in plan.regions), default=0)
+        self._pad_len = self._span + max(
+            (int(r.starts.max()) for r in self._regions if r.starts.size),
+            default=0)
         self._x_lo = min(max(self._pad_lo, 0), plan.ncols)
-        self._x_hi = max(min(self._pad_hi, plan.ncols), self._x_lo)
+        self._x_hi = max(min(self._pad_lo + self._pad_len, plan.ncols),
+                         self._x_lo)
         if plan.scatter.num_rows:
             colv = np.asarray(scatter_colval)
             if colv.ndim == 2:  # host layout: transpose to device order
@@ -209,44 +224,41 @@ class FusedKernel:
     def __call__(self, dia_val: np.ndarray, scatter_val: np.ndarray,
                  x: np.ndarray, y: np.ndarray) -> None:
         plan = self.plan
-        nvec, nrows, ncols = plan.nvec, plan.nrows, plan.ncols
-        if self._regions:
-            off = -self._pad_lo
-            xpad = np.zeros((nvec, self._pad_hi - self._pad_lo),
-                            dtype=x.dtype)
-            x_lo, x_hi = self._x_lo, self._x_hi
-            xpad[:, off + x_lo:off + x_hi] = \
-                x.reshape(nvec, ncols)[:, x_lo:x_hi]
-            for r in self._regions:
-                m = r.mrows
-                span = r.nrs * m
-                slab = dia_val[r.slab_base:
-                               r.slab_base + r.nrs * r.nnz_per_segment]
-                slab = slab.reshape(r.nrs, r.nnz_per_segment)
-                accs = [np.zeros((r.nrs, m), dtype=x.dtype)
-                        for _ in range(nvec)]
-                for c, d in r.terms:
-                    v = slab[:, d * m:(d + 1) * m]
-                    for j in range(nvec):
-                        w = xpad[j, off + c:off + c + span]
-                        accs[j] += v * w.reshape(r.nrs, m)
-                for j in range(nvec):
-                    lo = j * nrows + r.start_row
-                    y[lo:lo + r.row_count] = \
-                        accs[j].ravel()[:r.row_count]
+        nvec, nrows, ncols, dt = plan.nvec, plan.nrows, plan.ncols, x.dtype
+        if not dia_val.dtype == scatter_val.dtype == y.dtype == dt:
+            raise LaunchError(
+                f"fused kernel arguments mix dtypes: dia_val "
+                f"{dia_val.dtype}, scatter_val {scatter_val.dtype}, "
+                f"x {dt}, y {y.dtype}")
+        xm, ym = x.reshape(nvec, ncols), y.reshape(nvec, nrows)
+        n, s, lo, hi = self._pad_len, self._span, self._x_lo, self._x_hi
+        xpad = np.zeros((nvec, n), dtype=dt)
+        xpad[:, lo - self._pad_lo:hi - self._pad_lo] = xm[:, lo:hi]
+        # win[i, j] is the window xpad[j, i:i + s]
+        win = np.ndarray((n - s + 1, nvec, s), dtype=dt, buffer=xpad,
+                         strides=(dt.itemsize, n * dt.itemsize, dt.itemsize))
+        for r in self._regions:
+            nt, m, span = r.starts.size, r.mrows, r.nrs * r.mrows
+            p = win[r.starts, :, :span].reshape(nt, nvec, r.nrs, m)
+            v = dia_val[r.slab_base:r.slab_base + span * nt]
+            np.multiply(v.reshape(r.nrs, nt, 1, m).transpose(1, 2, 0, 3), p,
+                        out=p)
+            acc = np.zeros(nvec * span, dtype=dt)
+            for term in p.reshape(nt, nvec * span):
+                acc += term
+            ym[:, r.start_row:r.start_row + r.row_count] = \
+                acc.reshape(nvec, span)[:, :r.row_count]
         if self._srow is not None:
-            num = self._srow.size
-            xm = x.reshape(nvec, ncols)
-            accs = [np.zeros(num, dtype=x.dtype) for _ in range(nvec)]
-            for k in range(self.plan.scatter.width):
-                c = self._scol[k * num:(k + 1) * num]
-                v = scatter_val[k * num:(k + 1) * num]
-                for j in range(nvec):
-                    accs[j] += v * xm[j, c]
-            for j in range(nvec):
-                # rows pairwise distinct (certified): plain overwrite,
-                # after the dia phase, like the second launch
-                y[j * nrows + self._srow] = accs[j]
+            num, width = self._srow.size, plan.scatter.width
+            p = xm[:, self._scol].reshape(nvec, width, num)
+            np.multiply(scatter_val[:width * num].reshape(width, num), p,
+                        out=p)
+            acc = np.zeros((nvec, num), dtype=dt)
+            for term in p.transpose(1, 0, 2):
+                acc += term
+            # rows pairwise distinct (certified): plain overwrite,
+            # after the dia phase, like the second launch
+            ym[:, self._srow] = acc
 
 
 # ----------------------------------------------------------------------

@@ -18,8 +18,10 @@ import pytest
 from repro.bench.runner import bench_scale, effective_scale, scaled_device
 from repro.core.crsd import CRSDMatrix, compatible_wavefront
 from repro.formats.coo import COOMatrix
-from repro.gpu_kernels.crsd_runner import CrsdSpMM, CrsdSpMV
+from repro.gpu_kernels.crsd_runner import CrsdSpMM, CrsdSpMV, y_bits
+from repro.gpu_kernels.fused import FusedKernel, build_fused_state
 from repro.matrices.suite23 import SUITE, get_spec
+from repro.ocl.errors import LaunchError
 from tests.conftest import random_diagonal_matrix
 from tests.gpu_kernels.test_executor_modes import (
     assert_identical,
@@ -165,6 +167,172 @@ class TestEdgeCases:
         assert traces[0] is not traces[1]
         assert dataclasses.asdict(traces[0]) == dataclasses.asdict(
             traces[1])
+
+
+# ----------------------------------------------------------------------
+# non-finite x and signed zeros
+# ----------------------------------------------------------------------
+X_KINDS = ("nonfinite", "negzero")
+
+
+def special_x(kind, shape, rng):
+    """``x`` holding inf, -inf, NaN and -0.0 among normal values, or
+    all -0.0."""
+    if kind == "negzero":
+        return np.full(shape, -0.0)
+    x = rng.standard_normal(shape)
+    flat = x.reshape(-1)
+    idx = rng.permutation(flat.size)[:max(8, flat.size // 16)]
+    for k, v in enumerate((np.inf, -np.inf, np.nan, -0.0)):
+        flat[idx[k::4]] = v
+    return x
+
+
+def fill_and_scatter(rng):
+    """Slab fill zeros (density 0.7) and scatter rows."""
+    coo = random_diagonal_matrix(rng, n=256, density=0.7, scatter=6)
+    crsd = CRSDMatrix.from_coo(coo, mrows=32)
+    assert crsd.num_scatter_rows and (crsd.dia_val == 0).any()
+    return coo, crsd
+
+
+def long_thin(rng):
+    """One region of 96 row segments and 3 diagonals."""
+    coo = random_diagonal_matrix(rng, n=32 * 96, offsets=(-1, 0, 1),
+                                 density=0.9, scatter=3)
+    crsd = CRSDMatrix.from_coo(coo, mrows=32)
+    assert any(r.nrs >= 90 and r.ndiags <= 4 for r in crsd.regions)
+    return coo, crsd
+
+
+def wide_segment(rng):
+    """One row segment of 64 diagonals."""
+    coo = rectangular_coo(32, 128, range(64), rng, scatter=3)
+    crsd = CRSDMatrix.from_coo(coo, mrows=32)
+    assert any(r.nrs == 1 and r.ndiags >= 60 for r in crsd.regions)
+    return coo, crsd
+
+
+def raw_run(runner, x, trace=True):
+    """A run on the runner's launch path, without the SpMM facade's
+    finiteness check; ``y`` stays in the flat device layout."""
+    runner.prepare()
+    flat = np.ascontiguousarray(np.asarray(x, dtype=runner.dtype).T)
+    return runner._execute(flat.ravel(), trace)
+
+
+def assert_same_bytes(a, b):
+    assert a.y.dtype == b.y.dtype and y_bits(a.y) == y_bits(b.y)
+    assert dataclasses.asdict(a.trace) == dataclasses.asdict(b.trace)
+
+
+class TestNonFiniteX:
+    """Fused ``y`` bytes equal batched ``y`` bytes when x holds inf,
+    -inf, NaN and -0.0, or is all -0.0: each row forms the same
+    products, fill zeros included (``0 * inf`` is NaN), and adds them
+    to ``+0`` in the same order.  A NaN's sign and payload are left
+    out (see :func:`~repro.gpu_kernels.crsd_runner.y_bits`)."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("kind", X_KINDS)
+    @pytest.mark.parametrize("precision", ["double", "single"])
+    @pytest.mark.parametrize("nvec", [1, 2, 4])
+    @pytest.mark.parametrize("build", [fill_and_scatter, long_thin,
+                                       wide_segment],
+                             ids=lambda f: f.__name__)
+    def test_fused_matches_batched(self, build, nvec, precision, kind,
+                                   monkeypatch):
+        rng = np.random.default_rng(11)
+        coo, crsd = build(rng)
+        x = special_x(kind, (coo.ncols, nvec) if nvec > 1 else coo.ncols,
+                      rng)
+
+        def make():
+            if nvec == 1:
+                return CrsdSpMV(crsd, precision=precision)
+            return CrsdSpMM(crsd, nvec=nvec, precision=precision)
+
+        runs = {}
+        for mode in ("batched", "fused"):
+            monkeypatch.setenv("REPRO_EXECUTOR", mode)
+            runner = make()
+            runs[mode] = raw_run(runner, x)
+            if mode == "fused":
+                assert runner._executor.fused_state
+        assert_same_bytes(runs["fused"], runs["batched"])
+        if kind == "nonfinite":
+            assert np.isnan(runs["fused"].y).any()
+        else:
+            # every sum starts at +0, and +0 + -0 is +0
+            assert not np.signbit(runs["fused"].y).any()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_verification_accepts_nan_rows(self, monkeypatch):
+        """``REPRO_FUSED_VERIFY`` compares bits with NaNs made equal, so
+        a NaN row the oracle also computes does not demote the fused
+        kernel."""
+        rng = np.random.default_rng(3)
+        coo, crsd = fill_and_scatter(rng)
+        x = special_x("nonfinite", coo.ncols, rng)
+        monkeypatch.setenv("REPRO_EXECUTOR", "batched")
+        ref = CrsdSpMV(crsd).run(x)
+        monkeypatch.setenv("REPRO_EXECUTOR", "fused")
+        monkeypatch.setenv("REPRO_FUSED_VERIFY", "always")
+        runner = CrsdSpMV(crsd)
+        run = runner.run(x)
+        assert runner._executor.verified and runner._executor.fused_state
+        assert run.resilience is None and runner.fused_incidents == []
+        assert_same_bytes(run, ref)
+
+
+class TestKernelContract:
+    @staticmethod
+    def kernel_and_buffers(rng):
+        coo, crsd = fill_and_scatter(rng)
+        runner = CrsdSpMV(crsd)
+        state, _ = build_fused_state(
+            runner.plan, runner.device, "double",
+            scatter_colval=crsd.scatter_colval,
+            scatter_rowno=crsd.scatter_rowno)
+        sval = np.ascontiguousarray(crsd.scatter_val.T).ravel()
+        return (state.kernel, crsd.dia_val.copy(), sval,
+                rng.standard_normal(coo.ncols), np.zeros(coo.nrows))
+
+    def test_mixed_dtypes_raise(self, rng):
+        """Products round in x's dtype, so a mix is refused instead of
+        silently changing bits."""
+        kernel, dv, sv, x, y = self.kernel_and_buffers(rng)
+        kernel(dv, sv, x, y)
+        for i in range(4):
+            args = [dv, sv, x, y]
+            args[i] = args[i].astype(np.float32)
+            with pytest.raises(LaunchError, match="mix dtypes"):
+                kernel(*args)
+
+    def test_termless_region_rows_are_zeroed(self, rng):
+        kernel, dv, sv, x, y = self.kernel_and_buffers(rng)
+        plan = kernel.plan
+        r0 = dataclasses.replace(plan.regions[0], groups=(),
+                                 nnz_per_segment=0)
+        bare = FusedKernel(
+            dataclasses.replace(plan, regions=(r0,) + plan.regions[1:]),
+            kernel._scol, kernel._srow)
+        y[:] = 7.0
+        bare(dv, sv, x, y)
+        rows = y[r0.start_row:r0.start_row + r0.nrs * r0.mrows]
+        rows = np.delete(rows, kernel._srow - r0.start_row)
+        assert rows.size and rows.tobytes() == np.zeros_like(rows).tobytes()
+
+    def test_slots_out_of_order_are_refused(self, rng):
+        kernel = self.kernel_and_buffers(rng)[0]
+        plan = kernel.plan
+        r0 = plan.regions[0]
+        shifted = dataclasses.replace(r0, groups=tuple(
+            dataclasses.replace(g, d_first=g.d_first + 1)
+            for g in r0.groups))
+        with pytest.raises(ValueError, match="segment slots"):
+            FusedKernel(dataclasses.replace(
+                plan, regions=(shifted,) + plan.regions[1:]))
 
 
 class TestCertificationGate:

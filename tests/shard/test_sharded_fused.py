@@ -20,10 +20,20 @@ from repro.analyze.model import build_model
 from repro.analyze.report import AnalysisReport
 from repro.analyze.sharding import certify_shard_plan
 from repro.core.crsd import CRSDMatrix
+from repro.gpu_kernels.crsd_runner import CrsdSpMM, y_bits
+from repro.gpu_kernels.fused import build_fused_state
 from repro.obs.recorder import observe
 from repro.shard.executor import ShardedSpMV
 from repro.shard.plan import ShardPlanner
 from tests.conftest import random_diagonal_matrix
+from tests.gpu_kernels.test_fused_executor import (
+    X_KINDS,
+    assert_same_bytes,
+    fill_and_scatter,
+    long_thin,
+    raw_run,
+    special_x,
+)
 
 N = 512
 
@@ -86,3 +96,61 @@ class TestEveryShardFused:
             sub, regions=sub.regions[:-1] + (dataclasses.replace(
                 last, slab_base=last.slab_base + 1),))
         assert bounds_errors(past_end)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("kind", X_KINDS)
+@pytest.mark.parametrize("precision", ["double", "single"])
+@pytest.mark.parametrize("num_shards", [2, 4])
+@pytest.mark.parametrize("build", [fill_and_scatter, long_thin],
+                         ids=lambda f: f.__name__)
+class TestNonFiniteX:
+    """Sharded fused ``y`` bytes equal the batched bytes, NaN payloads
+    aside, when x holds inf, -inf, NaN and -0.0, or is all -0.0."""
+
+    @staticmethod
+    def certified(build, num_shards, precision, nvec=1):
+        coo, crsd = build(np.random.default_rng(5))
+        cert = certify_shard_plan(
+            crsd, ShardPlanner(crsd, coo=coo).plan(num_shards),
+            precision=precision, nvec=nvec)
+        assert cert.ok, cert.reasons
+        return coo, crsd, cert
+
+    def test_spmv(self, build, num_shards, precision, kind, monkeypatch):
+        coo, crsd, cert = self.certified(build, num_shards, precision)
+        x = special_x(kind, coo.ncols, np.random.default_rng(6))
+        monkeypatch.setenv("REPRO_EXECUTOR", "batched")
+        ref = ShardedSpMV(crsd, cert, precision=precision).run(x)
+        monkeypatch.delenv("REPRO_EXECUTOR")
+        runner = ShardedSpMV(crsd, cert, precision=precision)
+        run = runner.run(x)
+        assert all(e.fused_state for e in runner._executors.values())
+        assert_same_bytes(run, ref)
+
+    @pytest.mark.parametrize("nvec", [2, 4])
+    def test_spmm_shard_kernels(self, build, num_shards, precision, kind,
+                                nvec, monkeypatch):
+        """Every shard's fused kernel, run over the shared buffers,
+        writes the whole-matrix batched SpMM bytes."""
+        coo, crsd, cert = self.certified(build, num_shards, precision,
+                                         nvec)
+        x = special_x(kind, (coo.ncols, nvec), np.random.default_rng(6))
+        monkeypatch.setenv("REPRO_EXECUTOR", "batched")
+        whole = CrsdSpMM(crsd, nvec=nvec, precision=precision)
+        ref = raw_run(whole, x)
+        dtype = whole.dtype
+        dia_val = crsd.dia_val.astype(dtype)
+        flat_x = np.ascontiguousarray(x.astype(dtype).T).ravel()
+        y = np.zeros(nvec * crsd.nrows, dtype=dtype)
+        for spec, sub in zip(cert.shard_plan.shards, cert.subplans):
+            lo, hi = spec.scatter_start, spec.scatter_end
+            state, _ = build_fused_state(
+                sub, whole.device, precision,
+                scatter_colval=crsd.scatter_colval[lo:hi],
+                scatter_rowno=crsd.scatter_rowno[lo:hi],
+                dia_val_size=crsd.dia_val.size)
+            assert state is not None
+            sval = np.ascontiguousarray(crsd.scatter_val[lo:hi].T)
+            state.kernel(dia_val, sval.astype(dtype).ravel(), flat_x, y)
+        assert y_bits(y) == y_bits(ref.y)
