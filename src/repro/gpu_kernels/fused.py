@@ -251,8 +251,7 @@ class FusedKernel:
         if self._srow is not None:
             num, width = self._srow.size, plan.scatter.width
             p = xm[:, self._scol].reshape(nvec, width, num)
-            np.multiply(scatter_val[:width * num].reshape(width, num), p,
-                        out=p)
+            np.multiply(scatter_val.reshape(width, num), p, out=p)
             acc = np.zeros((nvec, num), dtype=dt)
             for term in p.transpose(1, 0, 2):
                 acc += term

@@ -295,37 +295,40 @@ class TestKernelContract:
             scatter_colval=crsd.scatter_colval,
             scatter_rowno=crsd.scatter_rowno)
         sval = np.ascontiguousarray(crsd.scatter_val.T).ravel()
-        return (state.kernel, crsd.dia_val.copy(), sval,
-                rng.standard_normal(coo.ncols), np.zeros(coo.nrows))
+        return crsd, state.kernel, (crsd.dia_val.copy(), sval,
+                                    rng.standard_normal(coo.ncols),
+                                    np.zeros(coo.nrows))
 
     def test_mixed_dtypes_raise(self, rng):
         """Products round in x's dtype, so a mix is refused instead of
         silently changing bits."""
-        kernel, dv, sv, x, y = self.kernel_and_buffers(rng)
-        kernel(dv, sv, x, y)
+        _, kernel, buffers = self.kernel_and_buffers(rng)
+        kernel(*buffers)
         for i in range(4):
-            args = [dv, sv, x, y]
+            args = list(buffers)
             args[i] = args[i].astype(np.float32)
             with pytest.raises(LaunchError, match="mix dtypes"):
                 kernel(*args)
 
     def test_termless_region_rows_are_zeroed(self, rng):
-        kernel, dv, sv, x, y = self.kernel_and_buffers(rng)
+        crsd, kernel, (dv, sv, x, y) = self.kernel_and_buffers(rng)
         plan = kernel.plan
         r0 = dataclasses.replace(plan.regions[0], groups=(),
                                  nnz_per_segment=0)
         bare = FusedKernel(
             dataclasses.replace(plan, regions=(r0,) + plan.regions[1:]),
-            kernel._scol, kernel._srow)
+            crsd.scatter_colval, crsd.scatter_rowno)
         y[:] = 7.0
         bare(dv, sv, x, y)
-        rows = y[r0.start_row:r0.start_row + r0.nrs * r0.mrows]
-        rows = np.delete(rows, kernel._srow - r0.start_row)
-        assert rows.size and rows.tobytes() == np.zeros_like(rows).tobytes()
+        rows = np.setdiff1d(
+            np.arange(r0.start_row,
+                      min(r0.start_row + r0.nrs * r0.mrows, plan.nrows)),
+            crsd.scatter_rowno)
+        assert rows.size
+        assert y[rows].tobytes() == np.zeros(rows.size).tobytes()
 
     def test_slots_out_of_order_are_refused(self, rng):
-        kernel = self.kernel_and_buffers(rng)[0]
-        plan = kernel.plan
+        plan = self.kernel_and_buffers(rng)[1].plan
         r0 = plan.regions[0]
         shifted = dataclasses.replace(r0, groups=tuple(
             dataclasses.replace(g, d_first=g.d_first + 1)
