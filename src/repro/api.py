@@ -31,7 +31,7 @@ from repro.formats.base import SparseFormat
 from repro.formats.coo import COOMatrix
 from repro.gpu_kernels.base import GPUSpMV, SpMVRun
 from repro.ocl.device import DeviceSpec, TESLA_C2050
-from repro.validation import validate_matrix, validate_vector
+from repro.validation import check_operand, validate_matrix
 
 __all__ = ["spmv", "build", "profile", "auto_format"]
 
@@ -191,7 +191,7 @@ def spmv(
             resilience=resilience)
     runner = build(A, format, device=device, precision=precision,
                    mrows=mrows, use_local_memory=use_local_memory)
-    x = validate_vector(x, runner.ncols)
+    x = check_operand(x, runner.ncols, finite=True)
     run = runner.run(x, trace=trace)
     if trace:
         from repro.obs.metrics import derive_metrics
@@ -218,7 +218,7 @@ def _resilient_facade_spmv(
     if format == "auto":
         format = auto_format(A, precision, device, mrows)
     coo = _as_coo(A)
-    x = validate_vector(x, coo.ncols)
+    x = check_operand(x, coo.ncols, finite=True)
     run = resilient_spmv(
         coo, x, format, device=device, precision=precision, mrows=mrows,
         use_local_memory=use_local_memory, policy=policy, trace=trace)

@@ -84,6 +84,7 @@ from repro.serve.batcher import BatchConfig
 from repro.serve.cache import PatternStore, PlanCache
 from repro.serve.clock import FOREVER
 from repro.serve.engine import ServedResult, ServeEngine
+from repro.validation import check_operand
 
 __all__ = ["ClusterEngine", "ClusterEvent", "SimDevice"]
 
@@ -323,11 +324,14 @@ class ClusterEngine:
         Same contract as :meth:`ServeEngine.submit`; routing happens
         inside :meth:`run`, at the arrival instant, against the ring
         as it exists then.  The matrix is ingested (canonicalised and
-        fingerprinted) once, here; every device dispatch, shard,
-        value fan-out and failover re-dispatch of the request reuses
-        that result.
+        fingerprinted) and ``x`` checked
+        (:func:`~repro.validation.check_operand`, NaN/Inf rejected)
+        once, here, so a bad request raises before it is queued; every
+        device dispatch, shard, hedge, value fan-out and failover
+        re-dispatch of the request reuses both results.
         """
         coo, fps = ingest(matrix)
+        x = check_operand(x, coo.ncols, dtype=np.float64, finite=True)
         arrival = self.now if at is None else max(float(at), 0.0)
         rid = self._next_id
         self._next_id += 1
@@ -577,7 +581,7 @@ class ClusterEngine:
                 return
         drid = self.devices[target].engine.submit(
             Ingested(coo, fps), x, at=at, deadline_s=deadline_rel,
-            resilience=resilience)
+            resilience=resilience, checked=True)
         self._submap[(target, drid)] = rid
         self._outstanding[target] = \
             self._outstanding.get(target, 0) + 1
@@ -620,7 +624,8 @@ class ClusterEngine:
                             arrival_s=at, deadline_rel=deadline_rel)
         self._hedge_groups[rid] = group
         drid = self.devices[target].engine.submit(
-            Ingested(coo, fps), x, at=at, deadline_s=deadline_rel)
+            Ingested(coo, fps), x, at=at, deadline_s=deadline_rel,
+            checked=True)
         self._submap[(target, drid)] = rid
         self._hedge_copies[(target, drid)] = rid
         group.copies.append(_HedgeCopy(target, drid, 0))
@@ -632,7 +637,7 @@ class ClusterEngine:
             delay = self.hedge.backoff.backoff_s(k)
             hdrid = self.devices[dev_idx].engine.submit(
                 Ingested(coo, fps), x, at=at + delay,
-                deadline_s=deadline_rel)
+                deadline_s=deadline_rel, checked=True)
             self._submap[(dev_idx, hdrid)] = rid
             self._hedge_copies[(dev_idx, hdrid)] = rid
             group.copies.append(_HedgeCopy(dev_idx, hdrid, k))

@@ -18,9 +18,15 @@ from repro.ocl.device import DeviceSpec, TESLA_C2050
 from repro.ocl.executor import Context
 from repro.ocl.trace import KernelTrace
 from repro.resilience import faults as _flt
+from repro.validation import check_operand
 
 #: default work-group size for one-work-item-per-row kernels
 DEFAULT_LOCAL_SIZE = 128
+
+#: decorates each runner entry: the kernels' IEEE results (``inf * 0``
+#: and ``inf - inf`` are NaN, a large product is inf) are defined, so
+#: numpy's invalid/overflow warnings are noise a caller cannot act on
+quiet_ieee = np.errstate(invalid="ignore", over="ignore")
 
 
 def precision_dtype(precision: str):
@@ -99,14 +105,17 @@ class GPUSpMV(abc.ABC):
             self._prepared = True
         return self
 
+    @quiet_ieee
     def run(self, x: np.ndarray, trace: bool = True) -> SpMVRun:
-        """Compute ``y = A @ x`` on the device."""
+        """Compute ``y = A @ x`` on the device.
+
+        ``x`` passes :func:`~repro.validation.check_operand` (NaN/Inf
+        accepted).
+        """
         self.prepare()
         if _flt.ACTIVE is not None:
             _flt.ACTIVE.on_phase(f"{self.name}.run")
-        x = np.ascontiguousarray(x, dtype=self.dtype)
-        if x.size != self.ncols:
-            raise ValueError(f"x has length {x.size}, expected {self.ncols}")
+        x = check_operand(x, self.ncols, dtype=self.dtype)
         with maybe_span(f"{self.name}.spmv", "op", kernel=self.name,
                         precision=self.precision, nrows=self.nrows,
                         ncols=self.ncols):

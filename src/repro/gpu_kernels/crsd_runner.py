@@ -50,7 +50,7 @@ import numpy as np
 from repro.codegen.plan import build_plan
 from repro.codegen.python_codelet import generate_python_kernel
 from repro.core.crsd import CRSDMatrix
-from repro.gpu_kernels.base import GPUSpMV, SpMVRun
+from repro.gpu_kernels.base import GPUSpMV, SpMVRun, quiet_ieee
 from repro.gpu_kernels.fused import (
     FUSED_KERNEL_NAME,
     FusedCertificate,
@@ -66,6 +66,7 @@ from repro.ocl.executor import (
 )
 from repro.ocl.trace import KernelTrace
 from repro.resilience import faults as _flt
+from repro.validation import check_operand
 
 #: environment variable selecting fused differential verification:
 #: ``off`` (default), ``first`` (verify the first fused run of each
@@ -536,13 +537,13 @@ class CrsdSpMM(CrsdSpMV):
             artifacts, True if use_local_memory is None else use_local_memory,
             self.nvec, strict)
 
+    @quiet_ieee
     def run(self, x: np.ndarray, trace: bool = True) -> SpMVRun:
-        """Compute ``Y = A @ X`` for ``X`` of shape ``(ncols, nvec)``."""
-        from repro.validation import validate_batch
-
+        """Compute ``Y = A @ X`` for ``X`` of shape ``(ncols, nvec)``,
+        under the same operand contract as
+        :meth:`GPUSpMV.run <repro.gpu_kernels.base.GPUSpMV.run>`."""
         self.prepare()
-        x = validate_batch(x, self.ncols, self.nvec).astype(
-            self.dtype, copy=False)
+        x = check_operand(x, self.ncols, self.nvec, dtype=self.dtype)
         flat = np.ascontiguousarray(x.T).ravel()  # column-major device layout
         with maybe_span(f"{self.name}.spmm", "op", kernel=self.name,
                         precision=self.precision, nvec=self.nvec):

@@ -52,6 +52,7 @@ from repro.serve.admission import AdmissionController, AdmissionPolicy
 from repro.serve.batcher import BatchConfig, MicroBatcher, Request
 from repro.serve.cache import PlanCache
 from repro.serve.clock import FOREVER, SimulatedClock
+from repro.validation import check_operand
 
 __all__ = ["Engine", "ServeEngine", "ServedResult"]
 
@@ -214,6 +215,7 @@ class ServeEngine:
         at: Optional[float] = None,
         deadline_s: Optional[float] = None,
         resilience=None,
+        checked: bool = False,
     ) -> int:
         """Enqueue one request; returns its id.
 
@@ -224,6 +226,12 @@ class ServeEngine:
         request through the degradation ladder, unbatched.  Admission
         control is applied at the arrival instant, inside :meth:`run`.
 
+        ``x`` passes :func:`~repro.validation.check_operand` with
+        NaN/Inf rejected, once, here; ``checked=True`` says a front end
+        already did (the cluster checks each request at
+        :meth:`~repro.cluster.engine.ClusterEngine.submit` and hands
+        the same float64 array to every dispatch, hedge and failover).
+
         The matrix is ingested once here
         (:func:`repro.core.serialize.ingest`), which freezes a sparse
         carrier's arrays.  ``matrix`` may instead be the
@@ -232,31 +240,17 @@ class ServeEngine:
         once and hands that on); then nothing is hashed again.
         """
         from repro.resilience.policy import Policy
-        from repro.validation import validate_vector
 
         self._require_alive()
         entry = self.cache.entry(*as_ingested(matrix))
-        x = np.ascontiguousarray(
-            validate_vector(x, entry.coo.ncols), dtype=np.float64)
-        arrival = self.clock.now if at is None else max(float(at),
-                                                       self.clock.now)
+        if not checked:
+            x = check_operand(x, entry.coo.ncols, dtype=np.float64,
+                              finite=True)
         if resilience is True:
             resilience = Policy()
-        rid = self._next_id
-        self._next_id += 1
-        req = Request(
-            id=rid,
-            key=(entry.fingerprint, self.precision),
-            entry=entry,
-            x=x,
-            arrival_s=arrival,
-            deadline_s=None if deadline_s is None
-            else arrival + float(deadline_s),
-            resilience=resilience,
-            batchable=resilience is None,
-        )
-        self._arrivals.append((arrival, rid, req))
-        return rid
+        return self._enqueue(entry, x, at, deadline_s, (),
+                             resilience=resilience,
+                             batchable=resilience is None)
 
     def submit_shard(
         self,
@@ -277,32 +271,34 @@ class ServeEngine:
         cluster can reassemble.  Shard sub-requests are pre-admitted
         (the router admitted the parent once) and never batched.
         Like :meth:`submit`, ``matrix`` may be the parent request's
-        :class:`~repro.core.serialize.Ingested` value.
+        :class:`~repro.core.serialize.Ingested` value; ``x`` is the
+        float64 array the cluster already checked.
         """
-        from repro.validation import validate_vector
-
         self._require_alive()
-        entry = self.cache.entry(*as_ingested(matrix))
-        x = np.ascontiguousarray(
-            validate_vector(x, entry.coo.ncols), dtype=np.float64)
+        return self._enqueue(
+            self.cache.entry(*as_ingested(matrix)), x, at, deadline_s,
+            ("shard", int(num_shards), int(shard_index)),
+            batchable=False, shard_index=int(shard_index),
+            shard_count=int(num_shards), parent_id=parent_id,
+            preadmitted=True)
+
+    def _enqueue(self, entry, x: np.ndarray, at: Optional[float],
+                 deadline_s: Optional[float], key_suffix: Tuple,
+                 **fields) -> int:
+        """Queue a request for a checked ``x``; returns its id."""
         arrival = self.clock.now if at is None else max(float(at),
                                                        self.clock.now)
         rid = self._next_id
         self._next_id += 1
         req = Request(
             id=rid,
-            key=(entry.fingerprint, self.precision, "shard",
-                 int(num_shards), int(shard_index)),
+            key=(entry.fingerprint, self.precision, *key_suffix),
             entry=entry,
             x=x,
             arrival_s=arrival,
             deadline_s=None if deadline_s is None
             else arrival + float(deadline_s),
-            batchable=False,
-            shard_index=int(shard_index),
-            shard_count=int(num_shards),
-            parent_id=parent_id,
-            preadmitted=True,
+            **fields,
         )
         self._arrivals.append((arrival, rid, req))
         return rid

@@ -1,94 +1,76 @@
-"""Facade input validation.
+"""Input validation: one operand contract for every SpMV/SpMM entry.
 
-The GPU runners assume well-formed inputs — a NaN in the matrix or a
-strided ``x`` would either poison the result silently or fail deep in a
-kernel with an unhelpful message.  The facade (:func:`repro.spmv`,
-:func:`repro.build`) runs these checks up front so bad inputs fail at
-the API boundary with one typed error, :class:`InputValidationError`,
-before any device buffer is touched.
+Every public entry that takes a right-hand side -- the GPU runners'
+``run`` (:class:`~repro.gpu_kernels.base.GPUSpMV` and
+:class:`~repro.gpu_kernels.crsd_runner.CrsdSpMM`),
+:meth:`ServeEngine.submit <repro.serve.engine.ServeEngine.submit>`,
+:meth:`ClusterEngine.submit <repro.cluster.engine.ClusterEngine.submit>`
+and the :func:`repro.spmv` facade -- calls :func:`check_operand`
+exactly once, and the layers below trust the array it returns.  The
+rule is the same everywhere: a real numeric dtype, the exact shape
+``(ncols,)`` or ``(ncols, nvec)``, a C- or F-contiguous layout.  A
+violation raises the typed :class:`InputValidationError` before any
+kernel runs.
+
+The one difference between entries is the non-finite policy.  The
+runners accept NaN/Inf: the kernels' IEEE results are defined (the
+runners execute with numpy's invalid/overflow warnings off), and the
+Krylov solvers' breakdown guards rely on a non-finite product flowing
+into the next SpMV.  The serving layers and the facade reject NaN/Inf
+(``finite=True``): a request's answer should not be silently poisoned.
+
+:func:`validate_matrix` and :func:`validate_symmetric` check the
+facade's matrix inputs.
 """
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
-__all__ = ["InputValidationError", "validate_matrix", "validate_vector",
-           "validate_batch", "validate_symmetric"]
+__all__ = ["InputValidationError", "check_operand", "validate_matrix",
+           "validate_symmetric"]
 
 
 class InputValidationError(ValueError):
-    """A facade input failed validation (bad dtype, shape, layout, or
+    """An input failed validation (bad dtype, shape, layout, or
     non-finite entries)."""
 
 
-def validate_vector(x, length: int, name: str = "x") -> np.ndarray:
-    """Validate a facade-supplied vector and return it as an ndarray.
+def check_operand(x, ncols: int, nvec: Optional[int] = None, *,
+                  dtype=None, finite: bool = False) -> np.ndarray:
+    """Check a right-hand side and return the array to compute with.
 
-    Rejects (with :class:`InputValidationError`): non-numeric or
-    complex dtypes, wrong dimensionality or length, non-contiguous
-    layouts, and NaN/Inf entries.  Python sequences are converted
-    first, so lists of floats remain accepted.
+    ``x`` must have a real numeric dtype (float/int; complex, string
+    and object inputs raise), the exact shape ``(ncols,)`` -- or
+    ``(ncols, nvec)`` when ``nvec`` is given (runners hold
+    ``nvec >= 1``, so a zero-column ``X`` never matches) -- and a C- or
+    F-contiguous layout (a strided slice raises).  ``finite=True`` also
+    rejects NaN/Inf entries.  Python sequences are converted first, so
+    lists remain accepted.  The result is ``x`` as an ndarray, cast to
+    ``dtype`` when given (no copy when it already matches).  Every
+    violation raises :class:`InputValidationError`.
     """
+    name = "x" if nvec is None else "X"
     arr = np.asarray(x)
     if arr.dtype.kind not in "fiu":
         raise InputValidationError(
             f"{name} has unsupported dtype {arr.dtype}; expected a real "
             "numeric dtype (float/int)")
-    if arr.ndim != 1:
+    shape = (ncols,) if nvec is None else (ncols, nvec)
+    if arr.shape != shape:
         raise InputValidationError(
-            f"{name} must be 1-D, got shape {arr.shape}")
-    if arr.size != length:
-        raise InputValidationError(
-            f"{name} has length {arr.size}, expected {length}")
-    if not arr.flags.c_contiguous:
-        raise InputValidationError(
-            f"{name} is not C-contiguous (e.g. a strided slice); pass "
-            f"np.ascontiguousarray({name})")
-    if arr.dtype.kind == "f" and not np.isfinite(arr).all():
-        bad = int(np.count_nonzero(~np.isfinite(arr)))
-        raise InputValidationError(
-            f"{name} contains {bad} non-finite (NaN/Inf) entries")
-    return arr
-
-
-def validate_batch(X, ncols: int, nvec=None, name: str = "X") -> np.ndarray:
-    """Validate a batched multi-vector right-hand side and return it.
-
-    The SpMM entry points (:class:`~repro.gpu_kernels.crsd_runner.CrsdSpMM`,
-    the serving layer's MicroBatcher) take ``X`` of shape
-    ``(ncols, nvec)`` — one column per right-hand side.  Rejects, with
-    the same typed :class:`InputValidationError` the 1-D path raises:
-    non-numeric or complex dtypes, wrong dimensionality, a wrong row
-    count, a wrong column count (when ``nvec`` is given), zero columns,
-    non-contiguous layouts (neither C- nor F-contiguous — a strided
-    slice), and NaN/Inf entries.  Python nested sequences are converted
-    first, so lists of rows remain accepted.
-    """
-    arr = np.asarray(X)
-    if arr.dtype.kind not in "fiu":
-        raise InputValidationError(
-            f"{name} has unsupported dtype {arr.dtype}; expected a real "
-            "numeric dtype (float/int)")
-    if arr.ndim != 2:
-        raise InputValidationError(
-            f"{name} must be 2-D (ncols, nvec), got shape {arr.shape}")
-    if arr.shape[0] != ncols:
-        raise InputValidationError(
-            f"{name} has {arr.shape[0]} rows, expected ncols={ncols}")
-    if arr.shape[1] == 0:
-        raise InputValidationError(f"{name} has zero columns")
-    if nvec is not None and arr.shape[1] != nvec:
-        raise InputValidationError(
-            f"{name} has {arr.shape[1]} columns, expected nvec={nvec}")
+            f"{name} has shape {arr.shape}, expected {shape}")
     if not (arr.flags.c_contiguous or arr.flags.f_contiguous):
         raise InputValidationError(
             f"{name} is not contiguous (e.g. a strided slice); pass "
             f"np.ascontiguousarray({name})")
-    if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+    if finite and arr.dtype.kind == "f" and not np.isfinite(arr).all():
         bad = int(np.count_nonzero(~np.isfinite(arr)))
         raise InputValidationError(
             f"{name} contains {bad} non-finite (NaN/Inf) entries")
-    return arr
+    return arr if dtype is None else arr.astype(dtype, copy=False)
 
 
 def validate_symmetric(a, op=None, samples: int = 1, tol: float = 1e-8,

@@ -8,6 +8,7 @@ from repro.cluster.halo import shard_halo_elements
 from repro.matrices.suite23 import get_spec
 from repro.serve import serve_session
 from repro.serve.engine import Engine, ServeEngine
+from repro.validation import InputValidationError
 
 #: the acceptance sweep population: eight structural families
 SWEEP_MATRICES = ("crystk03", "s3dkt3m2", "ecology2", "wang3", "kim1",
@@ -132,6 +133,56 @@ class TestHaloAccounting:
 
         halo = cluster.stats()["cluster"]["halo"]
         assert halo["total_bytes"] == n_requests * sum(per_shard.values())
+
+
+class TestSubmitChecksOperand:
+    def test_bad_request_raises_at_submit(self):
+        """A NaN or wrong-length ``x`` raises at ``submit``, queues
+        nothing, and the next ``run()`` serves every good request."""
+        pairs = _traffic(("kim1", "wang3"), "double")
+        cluster = serve_session(cluster=2, size_scale=SCALE)
+        good = [cluster.submit(coo, x, at=0.0) for coo, x in pairs]
+        coo, x = pairs[0]
+        nan_x = x.copy()
+        nan_x[3] = np.nan
+        for bad in (nan_x, x[:-1]):
+            with pytest.raises(InputValidationError):
+                cluster.submit(coo, bad, at=0.0)
+        results = cluster.run()
+        assert sorted(r.request_id for r in results) == good
+        assert all(r.served for r in results)
+        assert cluster.run() == []
+        # no id was spent on the refused requests
+        assert cluster.submit(coo, x) == len(good)
+
+    def test_each_request_is_checked_once(self, monkeypatch):
+        """The cluster checks ``x`` at its front door; whole-matrix and
+        shard dispatches hand the checked array on unchecked."""
+        import repro.cluster.engine as cluster_engine
+        import repro.serve.engine as serve_engine
+
+        calls = {"cluster": 0, "serve": 0}
+
+        def counting(module, key):
+            real = module.check_operand
+
+            def check(*args, **kwargs):
+                calls[key] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, "check_operand", check)
+
+        counting(cluster_engine, "cluster")
+        counting(serve_engine, "serve")
+        pairs = _traffic(("kim1", "wang3", "ecology2"), "double")
+        cluster = serve_session(cluster=3, size_scale=SCALE,
+                                split_threshold_rows=5000)
+        for coo, x in pairs:
+            cluster.submit(coo, x, at=0.0)
+        assert all(r.served for r in cluster.run())
+        engines = [d.engine for d in cluster.devices]
+        assert sum(e.shard_launches for e in engines) > 0
+        assert sum(e.spmv_launches + e.spmm_launches for e in engines) > 0
+        assert calls == {"cluster": len(pairs), "serve": 0}
 
 
 class TestEngineProtocol:

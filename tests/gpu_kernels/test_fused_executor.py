@@ -213,14 +213,6 @@ def wide_segment(rng):
     return coo, crsd
 
 
-def raw_run(runner, x, trace=True):
-    """A run on the runner's launch path, without the SpMM facade's
-    finiteness check; ``y`` stays in the flat device layout."""
-    runner.prepare()
-    flat = np.ascontiguousarray(np.asarray(x, dtype=runner.dtype).T)
-    return runner._execute(flat.ravel(), trace)
-
-
 def assert_same_bytes(a, b):
     assert a.y.dtype == b.y.dtype and y_bits(a.y) == y_bits(b.y)
     assert dataclasses.asdict(a.trace) == dataclasses.asdict(b.trace)
@@ -233,7 +225,6 @@ class TestNonFiniteX:
     to ``+0`` in the same order.  A NaN's sign and payload are left
     out (see :func:`~repro.gpu_kernels.crsd_runner.y_bits`)."""
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("kind", X_KINDS)
     @pytest.mark.parametrize("precision", ["double", "single"])
     @pytest.mark.parametrize("nvec", [1, 2, 4])
@@ -256,7 +247,7 @@ class TestNonFiniteX:
         for mode in ("batched", "fused"):
             monkeypatch.setenv("REPRO_EXECUTOR", mode)
             runner = make()
-            runs[mode] = raw_run(runner, x)
+            runs[mode] = runner.run(x)
             if mode == "fused":
                 assert runner._executor.fused_state
         assert_same_bytes(runs["fused"], runs["batched"])
@@ -266,7 +257,6 @@ class TestNonFiniteX:
             # every sum starts at +0, and +0 + -0 is +0
             assert not np.signbit(runs["fused"].y).any()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_verification_accepts_nan_rows(self, monkeypatch):
         """``REPRO_FUSED_VERIFY`` compares bits with NaNs made equal, so
         a NaN row the oracle also computes does not demote the fused

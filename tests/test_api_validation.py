@@ -1,14 +1,26 @@
-"""Facade input validation and the ``resilience=`` entry point."""
+"""The operand contract at every SpMV/SpMM entry, facade matrix
+validation, and the ``resilience=`` entry point."""
+
+import warnings
 
 import numpy as np
 import pytest
 
 import repro
+from repro.analyze.sharding import certify_shard_plan
+from repro.cluster.engine import ClusterEngine
+from repro.core.crsd import CRSDMatrix
+from repro.core.symcrsd import SymCRSDMatrix
+from repro.gpu_kernels.crsd_runner import CrsdSpMM, CrsdSpMV
+from repro.gpu_kernels.sym_runner import SymCrsdSpMV
+from repro.matrices.generators import symmetric_banded
+from repro.serve.engine import ServeEngine
+from repro.shard.executor import ShardedSpMV
+from repro.shard.plan import ShardPlanner
 from repro.validation import (
     InputValidationError,
-    validate_batch,
+    check_operand,
     validate_matrix,
-    validate_vector,
 )
 from tests.conftest import random_diagonal_matrix
 
@@ -20,113 +32,149 @@ def problem():
     return coo, rng.standard_normal(coo.ncols)
 
 
-class TestVectorValidation:
-    def test_rejects_wrong_length(self, problem):
-        coo, x = problem
-        with pytest.raises(InputValidationError, match="length"):
-            repro.spmv(coo, x[:-3])
+def _runner_entry(make):
+    """An entry computing through ``make(sym, coo)``'s ``run``."""
+    def call(setup, x):
+        return make(*setup).run(x).y
+    return call
 
-    def test_rejects_wrong_dtype(self, problem):
-        coo, x = problem
-        with pytest.raises(InputValidationError, match="dtype"):
-            repro.spmv(coo, x.astype(complex))
-        with pytest.raises(InputValidationError, match="dtype"):
-            repro.spmv(coo, np.array(["a"] * coo.ncols))
 
-    def test_rejects_non_contiguous(self, problem):
-        coo, x = problem
-        reversed_view = np.flip(np.concatenate([x, x[::-1]])[:x.size])
-        assert not reversed_view.flags.c_contiguous
-        with pytest.raises(InputValidationError, match="contiguous"):
-            repro.spmv(coo, reversed_view)
+def _engine_entry(make):
+    """An entry serving one request through ``make()``'s ``submit``."""
+    def call(setup, x):
+        engine = make()
+        rid = engine.submit(setup[1], x)
+        (result,) = engine.run()
+        assert result.request_id == rid and result.served
+        return result.y
+    return call
 
-    def test_rejects_nan_and_inf(self, problem):
-        coo, x = problem
-        for poison in (np.nan, np.inf, -np.inf):
-            bad = x.copy()
-            bad[7] = poison
-            with pytest.raises(InputValidationError, match="non-finite"):
-                repro.spmv(coo, bad)
 
-    def test_rejects_2d(self, problem):
-        coo, x = problem
-        with pytest.raises(InputValidationError, match="1-D"):
-            repro.spmv(coo, x.reshape(1, -1))
+def _sharded(sym, coo):
+    crsd = CRSDMatrix.from_coo(coo, mrows=32)
+    cert = certify_shard_plan(crsd, ShardPlanner(crsd, coo=coo).plan(2))
+    assert cert.ok, cert.reasons
+    return ShardedSpMV(crsd, cert)
 
-    def test_accepts_lists_and_int_vectors(self, problem):
-        coo, _ = problem
-        ones = [1] * coo.ncols
-        run = repro.spmv(coo, ones)
-        assert np.allclose(run.y, coo.matvec(np.ones(coo.ncols)))
+
+#: every public SpMV/SpMM entry -> (call, nvec, rejects NaN/Inf)
+ENTRIES = {
+    "dia": (_runner_entry(lambda sym, coo: repro.build(coo, "dia")),
+            None, False),
+    "crsd": (_runner_entry(lambda sym, coo: CrsdSpMV(
+        CRSDMatrix.from_coo(coo, mrows=32))), None, False),
+    "crsd_spmm": (_runner_entry(lambda sym, coo: CrsdSpMM(
+        CRSDMatrix.from_coo(coo, mrows=32), nvec=2)), 2, False),
+    "sharded": (_runner_entry(_sharded), None, False),
+    "sym_crsd": (_runner_entry(lambda sym, coo: SymCrsdSpMV(sym)),
+                 None, False),
+    "serve": (_engine_entry(lambda: ServeEngine(mrows=32)), None, True),
+    "cluster": (_engine_entry(lambda: ClusterEngine(2, mrows=32)),
+                None, True),
+    "spmv": (lambda setup, x: repro.spmv(setup[1], x).y, None, True),
+    "spmv_resilient": (
+        lambda setup, x: repro.spmv(setup[1], x, resilience=True).y,
+        None, True),
+}
+RUNNERS = [e for e, (_, _, finite) in ENTRIES.items() if not finite]
+
+
+def _poisoned(x, poison):
+    bad = np.array(x, dtype=np.float64)
+    bad.reshape(-1)[7] = poison
+    return bad
+
+
+#: bad input -> (make it from a good operand, error message fragment)
+BAD_INPUTS = {
+    "complex": (lambda x: x + 1j, "dtype"),
+    "str": (lambda x: np.full(x.shape, "a"), "dtype"),
+    "object": (lambda x: x.astype(object), "dtype"),
+    "ndim": (lambda x: x[:, 0].copy() if x.ndim == 2 else x[:, None],
+             "shape"),
+    "length": (lambda x: x[:-3].copy(), "shape"),
+    "nvec": (lambda x: np.ones((x.shape[0], 3)), "shape"),
+    "zero_columns": (lambda x: np.ones((x.shape[0], 0)), "shape"),
+    "stride": (lambda x: np.repeat(x, 2, axis=-1)[..., ::2], "contiguous"),
+    "reversed": (lambda x: x[::-1, ::-1] if x.ndim == 2 else x[::-1],
+                 "contiguous"),
+    "nan": (lambda x: _poisoned(x, np.nan), "non-finite"),
+    "inf": (lambda x: _poisoned(x, np.inf), "non-finite"),
+    "-inf": (lambda x: _poisoned(x, -np.inf), "non-finite"),
+}
+NON_FINITE = ("nan", "inf", "-inf")
+#: (entry, bad input) pairs that must raise: the runners accept NaN/Inf
+#: (``test_runners_accept_non_finite``), and only SpMM takes an ``nvec``
+REJECTED = [(entry, bad) for entry, (_, nvec, finite) in ENTRIES.items()
+            for bad in BAD_INPUTS
+            if (finite or bad not in NON_FINITE)
+            and (nvec is not None or bad != "nvec")]
+
+
+@pytest.fixture(scope="module")
+def setup():
+    """One symmetric matrix, as the half carrier and as COO."""
+    coo = symmetric_banded(128, 3, np.random.default_rng(0))
+    return SymCRSDMatrix.from_coo(coo, mrows=32), coo
+
+
+def _operand(coo, nvec):
+    rng = np.random.default_rng(1)
+    shape = coo.ncols if nvec is None else (coo.ncols, nvec)
+    return rng.standard_normal(shape)
+
+
+class TestOperandContract:
+    """One contract at every entry: ``check_operand``.  Only the
+    serving layers and the facade reject NaN/Inf; the runners compute
+    with it."""
+
+    @pytest.mark.parametrize("entry, bad", REJECTED)
+    def test_rejects(self, setup, entry, bad):
+        call, nvec, _ = ENTRIES[entry]
+        make, fragment = BAD_INPUTS[bad]
+        x = make(_operand(setup[1], nvec))
+        with pytest.raises(InputValidationError, match=fragment):
+            call(setup, x)
+
+    @pytest.mark.parametrize("entry", RUNNERS)
+    def test_runners_accept_non_finite(self, setup, entry):
+        """Defined IEEE results, and no numpy warning out of a kernel:
+        ``inf - inf`` is invalid and ``1e308 * a`` overflows."""
+        call, nvec, _ = ENTRIES[entry]
+        x = _operand(setup[1], nvec)
+        for row, value in zip((7, 8, 40, 90),
+                              (np.inf, -np.inf, np.nan, 1e308)):
+            x[row] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = call(setup, x)
+        assert np.isnan(y).any() and np.isinf(y).any()
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    def test_accepts_lists_and_int_vectors(self, setup, entry):
+        call, nvec, _ = ENTRIES[entry]
+        coo = setup[1]
+        ones = np.ones(coo.ncols if nvec is None else (coo.ncols, nvec),
+                       dtype=np.int64)
+        expected = coo.matvec(np.ones(coo.ncols))
+        if nvec is not None:
+            expected = np.repeat(expected[:, None], nvec, axis=1)
+        for x in (ones, ones.tolist()):
+            assert np.allclose(call(setup, x), expected)
 
     def test_error_is_a_value_error(self):
         assert issubclass(InputValidationError, ValueError)
         with pytest.raises(ValueError):
-            validate_vector(np.zeros(3), 5)
+            check_operand(np.zeros(3), 5)
 
-
-class TestBatchValidation:
-    """``validate_batch``: the multi-vector X of the SpMM/serving path."""
-
-    def test_accepts_well_formed(self, problem):
-        coo, _ = problem
-        X = np.random.default_rng(1).standard_normal((coo.ncols, 3))
-        assert validate_batch(X, coo.ncols) is X
-        assert validate_batch(X, coo.ncols, nvec=3) is X
+    def test_returns_the_array_to_compute_with(self):
+        X = np.random.default_rng(1).standard_normal((6, 3))
+        assert check_operand(X, 6, 3) is X
         # F-contiguous (column-major) batches are a legal device layout
-        validate_batch(np.asfortranarray(X), coo.ncols)
-
-    def test_rejects_wrong_rows(self, problem):
-        coo, _ = problem
-        with pytest.raises(InputValidationError, match="rows"):
-            validate_batch(np.zeros((coo.ncols - 1, 2)), coo.ncols)
-
-    def test_rejects_wrong_nvec(self, problem):
-        coo, _ = problem
-        with pytest.raises(InputValidationError, match="nvec"):
-            validate_batch(np.zeros((coo.ncols, 3)), coo.ncols, nvec=2)
-
-    def test_rejects_1d_and_zero_columns(self, problem):
-        coo, _ = problem
-        with pytest.raises(InputValidationError, match="2-D"):
-            validate_batch(np.zeros(coo.ncols), coo.ncols)
-        with pytest.raises(InputValidationError, match="zero columns"):
-            validate_batch(np.zeros((coo.ncols, 0)), coo.ncols)
-
-    def test_rejects_bad_dtype_and_non_finite(self, problem):
-        coo, _ = problem
-        with pytest.raises(InputValidationError, match="dtype"):
-            validate_batch(np.zeros((coo.ncols, 2), dtype=complex),
-                           coo.ncols)
-        bad = np.ones((coo.ncols, 2))
-        bad[3, 1] = np.nan
-        with pytest.raises(InputValidationError, match="non-finite"):
-            validate_batch(bad, coo.ncols)
-
-    def test_rejects_strided_slice(self, problem):
-        coo, _ = problem
-        wide = np.ones((coo.ncols, 6))
-        view = wide[:, ::2]
-        assert not (view.flags.c_contiguous or view.flags.f_contiguous)
-        with pytest.raises(InputValidationError, match="contiguous"):
-            validate_batch(view, coo.ncols)
-
-    def test_spmm_runner_routes_through_it(self, problem):
-        from repro.core.crsd import CRSDMatrix
-        from repro.gpu_kernels.crsd_runner import CrsdSpMM
-
-        coo, _ = problem
-        runner = CrsdSpMM(CRSDMatrix.from_coo(coo, mrows=32), nvec=2)
-        with pytest.raises(InputValidationError, match="nvec"):
-            runner.run(np.zeros((coo.ncols, 3)))
-        bad = np.ones((coo.ncols, 2))
-        bad[0, 0] = np.inf
-        with pytest.raises(InputValidationError, match="non-finite"):
-            runner.run(bad)
-
-    def test_error_is_a_value_error(self):
-        with pytest.raises(ValueError):
-            validate_batch(np.zeros((3, 1)), 5)
+        F = np.asfortranarray(X)
+        assert check_operand(F, 6, 3, dtype=np.float64) is F
+        assert check_operand(X, 6, 3, dtype=np.float32).dtype == np.float32
 
 
 class TestMatrixValidation:
