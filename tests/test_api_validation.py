@@ -163,11 +163,6 @@ class TestOperandContract:
         for x in (ones, ones.tolist()):
             assert np.allclose(call(setup, x), expected)
 
-    def test_error_is_a_value_error(self):
-        assert issubclass(InputValidationError, ValueError)
-        with pytest.raises(ValueError):
-            check_operand(np.zeros(3), 5)
-
     def test_returns_the_array_to_compute_with(self):
         X = np.random.default_rng(1).standard_normal((6, 3))
         assert check_operand(X, 6, 3) is X
@@ -175,6 +170,45 @@ class TestOperandContract:
         F = np.asfortranarray(X)
         assert check_operand(F, 6, 3, dtype=np.float64) is F
         assert check_operand(X, 6, 3, dtype=np.float32).dtype == np.float32
+
+
+class TestVectorValidation:
+    """``check_operand`` on a single right-hand side ``x``."""
+
+    def test_error_is_a_value_error(self):
+        assert issubclass(InputValidationError, ValueError)
+        with pytest.raises(ValueError):
+            check_operand(np.zeros(3), 5)
+
+
+class TestBatchValidation:
+    """``check_operand`` on the multi-vector ``X`` of the SpMM path."""
+
+    def test_rejects_wrong_nvec(self, problem):
+        coo, _ = problem
+        with pytest.raises(InputValidationError, match="shape"):
+            check_operand(np.zeros((coo.ncols, 3)), coo.ncols, nvec=2)
+
+    def test_spmm_runner_routes_through_it(self, problem, monkeypatch):
+        import repro.gpu_kernels.crsd_runner as crsd_runner
+
+        coo, _ = problem
+        runner = CrsdSpMM(CRSDMatrix.from_coo(coo, mrows=32), nvec=2)
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append((args[1:], kwargs))
+            return check_operand(*args, **kwargs)
+
+        monkeypatch.setattr(crsd_runner, "check_operand", spy)
+        with pytest.raises(InputValidationError, match="shape"):
+            runner.run(np.zeros((coo.ncols, 3)))
+        runner.run(np.ones((coo.ncols, 2)))
+        assert [c[0] for c in calls] == [(coo.ncols, 2)] * 2
+
+    def test_error_is_a_value_error(self):
+        with pytest.raises(ValueError):
+            check_operand(np.zeros((3, 1)), 5, 1)
 
 
 class TestMatrixValidation:
