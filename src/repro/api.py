@@ -208,8 +208,9 @@ def _resilient_facade_spmv(
     A, x, format, *, device, precision, mrows, use_local_memory, trace,
     resilience,
 ) -> SpMVRun:
-    """The ``resilience=`` branch of :func:`spmv`: validate, delegate
-    to the ladder, then derive the same metrics the direct path does."""
+    """The ``resilience=`` branch of :func:`spmv`: validate the matrix,
+    delegate to the ladder (which checks ``x``), then derive the same
+    metrics the direct path does."""
     from repro.resilience.engine import resilient_spmv
     from repro.resilience.policy import Policy
 
@@ -218,7 +219,6 @@ def _resilient_facade_spmv(
     if format == "auto":
         format = auto_format(A, precision, device, mrows)
     coo = _as_coo(A)
-    x = check_operand(x, coo.ncols, finite=True)
     run = resilient_spmv(
         coo, x, format, device=device, precision=precision, mrows=mrows,
         use_local_memory=use_local_memory, policy=policy, trace=trace)

@@ -328,7 +328,9 @@ class ClusterEngine:
         (:func:`~repro.validation.check_operand`, NaN/Inf rejected)
         once, here, so a bad request raises before it is queued; every
         device dispatch, shard, hedge, value fan-out and failover
-        re-dispatch of the request reuses both results.
+        re-dispatch of the request reuses both results (a whole-matrix
+        dispatch enters :meth:`ServeEngine.submit`, which checks the
+        float64 ``x`` again, without a copy).
         """
         coo, fps = ingest(matrix)
         x = check_operand(x, coo.ncols, dtype=np.float64, finite=True)
@@ -581,7 +583,7 @@ class ClusterEngine:
                 return
         drid = self.devices[target].engine.submit(
             Ingested(coo, fps), x, at=at, deadline_s=deadline_rel,
-            resilience=resilience, checked=True)
+            resilience=resilience)
         self._submap[(target, drid)] = rid
         self._outstanding[target] = \
             self._outstanding.get(target, 0) + 1
@@ -624,8 +626,7 @@ class ClusterEngine:
                             arrival_s=at, deadline_rel=deadline_rel)
         self._hedge_groups[rid] = group
         drid = self.devices[target].engine.submit(
-            Ingested(coo, fps), x, at=at, deadline_s=deadline_rel,
-            checked=True)
+            Ingested(coo, fps), x, at=at, deadline_s=deadline_rel)
         self._submap[(target, drid)] = rid
         self._hedge_copies[(target, drid)] = rid
         group.copies.append(_HedgeCopy(target, drid, 0))
@@ -637,7 +638,7 @@ class ClusterEngine:
             delay = self.hedge.backoff.backoff_s(k)
             hdrid = self.devices[dev_idx].engine.submit(
                 Ingested(coo, fps), x, at=at + delay,
-                deadline_s=deadline_rel, checked=True)
+                deadline_s=deadline_rel)
             self._submap[(dev_idx, hdrid)] = rid
             self._hedge_copies[(dev_idx, hdrid)] = rid
             group.copies.append(_HedgeCopy(dev_idx, hdrid, k))

@@ -8,6 +8,7 @@ returning the result and the execution trace.
 from __future__ import annotations
 
 import abc
+import functools
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
@@ -23,10 +24,16 @@ from repro.validation import check_operand
 #: default work-group size for one-work-item-per-row kernels
 DEFAULT_LOCAL_SIZE = 128
 
-#: decorates each runner entry: the kernels' IEEE results (``inf * 0``
-#: and ``inf - inf`` are NaN, a large product is inf) are defined, so
-#: numpy's invalid/overflow warnings are noise a caller cannot act on
-quiet_ieee = np.errstate(invalid="ignore", over="ignore")
+def quiet_ieee(run):
+    """Decorate a runner entry to run with numpy's invalid/overflow
+    warnings off: the kernels' IEEE results (``inf * 0`` and
+    ``inf - inf`` are NaN, a large product is inf) are defined, so
+    those warnings are noise a caller cannot act on."""
+    @functools.wraps(run)
+    def quiet(*args, **kwargs):
+        with np.errstate(invalid="ignore", over="ignore"):
+            return run(*args, **kwargs)
+    return quiet
 
 
 def precision_dtype(precision: str):

@@ -36,6 +36,7 @@ from repro.ocl.device import DeviceSpec, TESLA_C2050
 from repro.ocl.errors import OCLError
 from repro.resilience import faults as _flt
 from repro.resilience.policy import Policy, ResilienceExhausted
+from repro.validation import check_operand
 
 __all__ = [
     "DEFAULT_LADDER",
@@ -192,7 +193,10 @@ def resilient_spmv(
     ``resilience`` field carries the :class:`IncidentReport`; raises
     :class:`~repro.resilience.policy.ResilienceExhausted` only when
     every ladder rung failed.  ``A`` is anything
-    :func:`repro.api._as_coo` understands.
+    :func:`repro.api._as_coo` understands.  ``x`` passes
+    :func:`~repro.validation.check_operand` with NaN/Inf rejected
+    before any rung runs: a non-finite ``y`` can never verify against
+    the reference, so the ladder would only exhaust itself on it.
     """
     from repro.api import _as_coo
     from repro.gpu_kernels.base import precision_dtype
@@ -200,11 +204,8 @@ def resilient_spmv(
     policy = policy or Policy()
     coo = _as_coo(A)
     dtype = precision_dtype(precision)
-    x64 = np.ascontiguousarray(x, dtype=np.float64)
-    if x64.ndim != 1 or x64.size != coo.ncols:
-        raise ValueError(
-            f"x must be a length-{coo.ncols} vector, got shape {x64.shape}")
-    ref = coo.matvec(x64)
+    x = check_operand(x, coo.ncols, dtype=np.float64, finite=True)
+    ref = coo.matvec(x)
     refscale = max(1.0, float(np.abs(ref).max()))
     tol = policy.verify_tol if policy.verify_tol is not None else (
         1e-6 if precision == "double" else 1e-2)

@@ -215,7 +215,6 @@ class ServeEngine:
         at: Optional[float] = None,
         deadline_s: Optional[float] = None,
         resilience=None,
-        checked: bool = False,
     ) -> int:
         """Enqueue one request; returns its id.
 
@@ -227,10 +226,7 @@ class ServeEngine:
         control is applied at the arrival instant, inside :meth:`run`.
 
         ``x`` passes :func:`~repro.validation.check_operand` with
-        NaN/Inf rejected, once, here; ``checked=True`` says a front end
-        already did (the cluster checks each request at
-        :meth:`~repro.cluster.engine.ClusterEngine.submit` and hands
-        the same float64 array to every dispatch, hedge and failover).
+        NaN/Inf rejected, once, here.
 
         The matrix is ingested once here
         (:func:`repro.core.serialize.ingest`), which freezes a sparse
@@ -243,9 +239,8 @@ class ServeEngine:
 
         self._require_alive()
         entry = self.cache.entry(*as_ingested(matrix))
-        if not checked:
-            x = check_operand(x, entry.coo.ncols, dtype=np.float64,
-                              finite=True)
+        x = check_operand(x, entry.coo.ncols, dtype=np.float64,
+                          finite=True)
         if resilience is True:
             resilience = Policy()
         return self._enqueue(entry, x, at, deadline_s, (),

@@ -4,7 +4,8 @@ Every public entry that takes a right-hand side -- the GPU runners'
 ``run`` (:class:`~repro.gpu_kernels.base.GPUSpMV` and
 :class:`~repro.gpu_kernels.crsd_runner.CrsdSpMM`),
 :meth:`ServeEngine.submit <repro.serve.engine.ServeEngine.submit>`,
-:meth:`ClusterEngine.submit <repro.cluster.engine.ClusterEngine.submit>`
+:meth:`ClusterEngine.submit <repro.cluster.engine.ClusterEngine.submit>`,
+the resilient ladder (:func:`~repro.resilience.engine.resilient_spmv`)
 and the :func:`repro.spmv` facade -- calls :func:`check_operand`
 exactly once, and the layers below trust the array it returns.  The
 rule is the same everywhere: a real numeric dtype, the exact shape
@@ -16,8 +17,9 @@ The one difference between entries is the non-finite policy.  The
 runners accept NaN/Inf: the kernels' IEEE results are defined (the
 runners execute with numpy's invalid/overflow warnings off), and the
 Krylov solvers' breakdown guards rely on a non-finite product flowing
-into the next SpMV.  The serving layers and the facade reject NaN/Inf
-(``finite=True``): a request's answer should not be silently poisoned.
+into the next SpMV.  The serving layers, the resilient ladder and the
+facade reject NaN/Inf (``finite=True``): a request's answer should not
+be silently poisoned, and a non-finite ``y`` never verifies.
 
 :func:`validate_matrix` and :func:`validate_symmetric` check the
 facade's matrix inputs.

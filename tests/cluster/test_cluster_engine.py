@@ -155,24 +155,18 @@ class TestSubmitChecksOperand:
         # no id was spent on the refused requests
         assert cluster.submit(coo, x) == len(good)
 
-    def test_each_request_is_checked_once(self, monkeypatch):
-        """The cluster checks ``x`` at its front door; whole-matrix and
-        shard dispatches hand the checked array on unchecked."""
+    def test_each_request_is_checked_at_submit(self, monkeypatch):
+        """The cluster checks ``x`` once per request, at its front
+        door, over whole-matrix and shard dispatches alike."""
         import repro.cluster.engine as cluster_engine
-        import repro.serve.engine as serve_engine
 
-        calls = {"cluster": 0, "serve": 0}
+        calls = []
+        real = cluster_engine.check_operand
 
-        def counting(module, key):
-            real = module.check_operand
-
-            def check(*args, **kwargs):
-                calls[key] += 1
-                return real(*args, **kwargs)
-            monkeypatch.setattr(module, "check_operand", check)
-
-        counting(cluster_engine, "cluster")
-        counting(serve_engine, "serve")
+        def check(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+        monkeypatch.setattr(cluster_engine, "check_operand", check)
         pairs = _traffic(("kim1", "wang3", "ecology2"), "double")
         cluster = serve_session(cluster=3, size_scale=SCALE,
                                 split_threshold_rows=5000)
@@ -182,7 +176,7 @@ class TestSubmitChecksOperand:
         engines = [d.engine for d in cluster.devices]
         assert sum(e.shard_launches for e in engines) > 0
         assert sum(e.spmv_launches + e.spmm_launches for e in engines) > 0
-        assert calls == {"cluster": len(pairs), "serve": 0}
+        assert calls == [coo.ncols for coo, _ in pairs]
 
 
 class TestEngineProtocol:

@@ -102,6 +102,7 @@ class TestEveryShardFused:
 @pytest.mark.parametrize("num_shards", [2, 4])
 @pytest.mark.parametrize("build", [fill_and_scatter, long_thin],
                          ids=lambda f: f.__name__)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestNonFiniteX:
     """Sharded fused ``y`` bytes equal the batched bytes, NaN payloads
     aside, when x holds inf, -inf, NaN and -0.0, or is all -0.0."""

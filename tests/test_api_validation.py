@@ -14,6 +14,7 @@ from repro.core.symcrsd import SymCRSDMatrix
 from repro.gpu_kernels.crsd_runner import CrsdSpMM, CrsdSpMV
 from repro.gpu_kernels.sym_runner import SymCrsdSpMV
 from repro.matrices.generators import symmetric_banded
+from repro.resilience.engine import resilient_spmv
 from repro.serve.engine import ServeEngine
 from repro.shard.executor import ShardedSpMV
 from repro.shard.plan import ShardPlanner
@@ -75,6 +76,8 @@ ENTRIES = {
     "spmv_resilient": (
         lambda setup, x: repro.spmv(setup[1], x, resilience=True).y,
         None, True),
+    "resilient_spmv": (lambda setup, x: resilient_spmv(setup[1], x).y,
+                       None, True),
 }
 RUNNERS = [e for e, (_, _, finite) in ENTRIES.items() if not finite]
 
