@@ -14,7 +14,9 @@ checker and return an :class:`AnalysisReport`; :func:`build_model` and
 (L2-off) trace predictor; :func:`synthesize_trace` walks the model's
 segment streams once for every counter and the L2 split, with the
 batched engine's own replay; :func:`required_local_bytes` is
-the standalone capacity probe the autotuner uses.
+the standalone capacity probe the autotuner uses.  Every entry serves
+CRSD and symmetric half-storage plans alike: the plan kind is read off
+its groups, so one model builder and one set of checkers cover both.
 """
 
 from repro.analyze.batch_safety import check_batch_safety
@@ -36,11 +38,6 @@ from repro.analyze.report import (
     Finding,
     KernelAnalysisError,
 )
-from repro.analyze.symmetric import (
-    analyze_sym_matrix,
-    analyze_sym_plan,
-    build_sym_model,
-)
 from repro.analyze.sharding import (
     ShardCertificate,
     build_shard_subplan,
@@ -61,10 +58,7 @@ __all__ = [
     "ShardCertificate",
     "analyze_matrix",
     "analyze_plan",
-    "analyze_sym_matrix",
-    "analyze_sym_plan",
     "build_model",
-    "build_sym_model",
     "build_shard_subplan",
     "certify_shard_plan",
     "check_batch_safety",

@@ -123,7 +123,8 @@ def check_coalescing(model: KernelModel, report: AnalysisReport,
         report.store_coalescing_efficiency = tr.store_coalescing_efficiency(
             device.transaction_bytes)
     # the paper's headline claim: with mrows a multiple of the
-    # wavefront, the dia_val slab loads coalesce perfectly
+    # wavefront, the unguarded dia_val slab loads coalesce perfectly
+    # (every CRSD slab load; a symmetric plan's forward reads)
     if (model.plan.regions and model.plan.mrows % device.wavefront_size == 0):
         eff = _dia_val_efficiency(model, device)
         if eff is not None and eff < 1.0:
@@ -244,11 +245,13 @@ def _lint_contiguity(accesses: Iterable[GlobalAccess], where: str,
 
 def _dia_val_efficiency(model: KernelModel,
                         device: DeviceSpec) -> Optional[float]:
+    """Static load efficiency of the unguarded ``dia_val`` loads."""
     tr = KernelTrace()
     found = False
     for rm in model.regions:
         for acc in rm.accesses:
-            if acc.buffer == "dia_val" and acc.lane_coeff == 1:
+            if (acc.buffer == "dia_val" and acc.lane_coeff == 1
+                    and not acc.guarded):
                 _count_affine(tr, acc, model, device)
                 found = True
     if not found:

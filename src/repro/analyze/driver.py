@@ -5,7 +5,10 @@ analyze`` CLI, the strict-mode codegen hook and the autotuner all call
 it); :func:`analyze_matrix` is the convenience wrapper that starts from
 a built :class:`~repro.core.crsd.CRSDMatrix` and feeds the baked
 scatter index arrays to the model so the indirect accesses and the
-batched-safety prover get exact data.
+batched-safety prover get exact data.  Both take a symmetric
+half-storage plan or :class:`~repro.core.symcrsd.SymCRSDMatrix` as
+well: the model, the checkers and the render cross-check read the plan
+kind off its groups.
 
 Besides the five checkers the driver cross-checks the *renderings*
 against the model (check ``render``): both generated sources must pass
@@ -32,7 +35,7 @@ from repro.analyze.localmem import check_localmem
 from repro.analyze.model import build_model
 from repro.analyze.report import AnalysisReport
 from repro.codegen.opencl_source import generate_opencl_source
-from repro.codegen.plan import KernelPlan, build_plan
+from repro.codegen.plan import KernelPlan, build_plan, build_sym_plan
 from repro.codegen.python_codelet import emit_python_source, expected_functions
 from repro.codegen.validator import (
     OpenCLSyntaxError,
@@ -40,6 +43,7 @@ from repro.codegen.validator import (
     validate_opencl_source,
     validate_python_source,
 )
+from repro.core.symcrsd import SymCRSDMatrix
 from repro.ocl.device import DeviceSpec, TESLA_C2050
 
 
@@ -74,7 +78,15 @@ def analyze_matrix(
     check_render: bool = True,
 ) -> AnalysisReport:
     """Build the plan for ``crsd`` and analyze it with exact scatter
-    index data (the arrays the runner would bake into the buffers)."""
+    index data (the arrays the runner would bake into the buffers).
+
+    A :class:`~repro.core.symcrsd.SymCRSDMatrix` gets its symmetric
+    plan, which has no scatter rows, local memory or SpMM variant, so
+    ``use_local_memory`` and ``nvec`` do not apply to it.
+    """
+    if isinstance(crsd, SymCRSDMatrix):
+        return analyze_plan(build_sym_plan(crsd), device=device,
+                            precision=precision, check_render=check_render)
     plan = build_plan(crsd, use_local_memory=use_local_memory, nvec=nvec)
     return analyze_plan(
         plan,

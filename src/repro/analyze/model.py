@@ -15,6 +15,12 @@ and an optional lane bound ``lane < lane_bound`` — exactly the masks the
 Python rendering passes to ``gload``/``gstore`` and the OpenCL rendering
 expresses as ``if (xi >= 0 && xi < N)`` predication.
 
+A symmetric half-storage plan is modelled by the same builder: its
+``kind="SYM"`` groups read the half slab (the model's ``dia_val``
+buffer) once per stored diagonal for the forward term and once more,
+behind a lower guard at the run base, for the mirror term — both
+affine, unit-lane-stride accesses like every other.
+
 Indirect accesses (the scatter kernel's ``x[scatter_colval[...]]``
 gather and ``y[scatter_rowno[...]]`` store) go through constant index
 buffers whose *contents* are baked at build time; when those arrays are
@@ -30,7 +36,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.codegen.plan import KernelPlan, RegionPlan
+from repro.codegen.plan import KernelPlan, RegionPlan, full_offsets
 
 
 @dataclass(frozen=True)
@@ -278,7 +284,31 @@ def _build_region(plan: KernelPlan, region: RegionPlan,
 
     for g in region.groups:
         glabel = f"region {region.index} {g.kind} group d{g.d_first}"
-        if plan.nvec > 1:
+        if g.kind == "SYM":
+            run = region.nrs * m
+            for off in full_offsets(g.offsets):
+                o = abs(off)
+                runbase = region.slab_base + g.offsets.index(o) * run
+                # the mirror term reads the partner row's stored slot,
+                # guarded below by the run base (rows before SR have no
+                # partner in this region — the build declined those)
+                rm.accesses.append(GlobalAccess(
+                    buffer="dia_val", kind="load",
+                    base=runbase - o if off < 0 else runbase,
+                    seg_coeff=m, lane_coeff=1,
+                    nsegs=region.nrs, lanes=m,
+                    guard_lo=runbase if off < 0 else None,
+                    label=f"{glabel} dia_val[stored {o}, full {off}]",
+                ))
+                rm.accesses.append(GlobalAccess(
+                    buffer="x", kind="load",
+                    base=region.start_row + off, seg_coeff=m, lane_coeff=1,
+                    nsegs=region.nrs, lanes=m,
+                    guard_lo=0, guard_hi=plan.ncols,
+                    label=f"{glabel} x[off={off}]",
+                ))
+                rm.flops_per_group += 2 * m
+        elif plan.nvec > 1:
             for jj in range(g.ndiags):
                 d = g.d_first + jj
                 rm.accesses.append(dia_load(d, f"{glabel} dia_val[d={d}]"))

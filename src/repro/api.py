@@ -31,6 +31,7 @@ from repro.formats.base import SparseFormat
 from repro.formats.coo import COOMatrix
 from repro.gpu_kernels.base import GPUSpMV, SpMVRun
 from repro.ocl.device import DeviceSpec, TESLA_C2050
+from repro.ocl.executor import DEFAULT_SWEEP_EXECUTORS
 from repro.validation import check_operand, validate_matrix
 
 __all__ = ["spmv", "build", "profile", "auto_format"]
@@ -248,7 +249,7 @@ def profile(
     name: str = "matrix",
     *,
     formats: Sequence[str] = ("crsd",),
-    executors: Sequence[str] = ("batched", "pergroup"),
+    executors: Sequence[str] = DEFAULT_SWEEP_EXECUTORS,
     precisions: Sequence[str] = ("double",),
     device: DeviceSpec = TESLA_C2050,
     mrows: int = 128,

@@ -230,7 +230,7 @@ def _analyze_sym(args, coo, crsd, name: str) -> int:
     codelets (requires an exactly symmetric, scatter-free matrix)."""
     import json
 
-    from repro.analyze.symmetric import analyze_sym_matrix
+    from repro.analyze import analyze_matrix
     from repro.core.symcrsd import SymCRSDError, SymCRSDMatrix
 
     if args.shards is not None or args.nvec != 1:
@@ -242,7 +242,7 @@ def _analyze_sym(args, coo, crsd, name: str) -> int:
     except SymCRSDError as exc:
         print(f"error: {name}: {exc}", file=sys.stderr)
         return 2
-    report = analyze_sym_matrix(sym, precision=args.precision)
+    report = analyze_matrix(sym, precision=args.precision)
     if args.json:
         payload = report.to_dict()
         payload["matrix"] = name
@@ -691,6 +691,9 @@ def cmd_cluster_chaos(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser (one subcommand per command)."""
+    from repro.ocl.executor import DEFAULT_SWEEP_EXECUTORS
+
+    sweep_executors = ",".join(DEFAULT_SWEEP_EXECUTORS)
     p = argparse.ArgumentParser(
         prog="repro",
         description="CRSD SpMV reproduction toolkit (Sun et al., ICPP 2011)",
@@ -766,9 +769,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--formats", default="crsd",
                     help="comma-separated formats (default: crsd)")
-    sp.add_argument("--executors", default="batched,pergroup",
+    sp.add_argument("--executors", default=sweep_executors,
                     help="comma-separated executor modes "
-                         "(default: batched,pergroup)")
+                         f"(default: {sweep_executors})")
     sp.add_argument("--precisions", default="double",
                     help="comma-separated precisions (default: double)")
     sp.add_argument("--json", action="store_true",
@@ -792,9 +795,9 @@ def build_parser() -> argparse.ArgumentParser:
                          "(default: all 23)")
     sp.add_argument("--format", default="crsd",
                     help="requested (top-rung) format (default: crsd)")
-    sp.add_argument("--executors", default="batched,pergroup",
+    sp.add_argument("--executors", default=sweep_executors,
                     help="comma-separated executor modes "
-                         "(default: batched,pergroup)")
+                         f"(default: {sweep_executors})")
     sp.add_argument("--precisions", default="double,single",
                     help="comma-separated precisions "
                          "(default: double,single)")

@@ -12,13 +12,25 @@ simulator executes; both are driven by the same
 :class:`~repro.codegen.plan.KernelPlan` so the constants cannot
 disagree, and the test suite extracts the literals from this source and
 checks them against :func:`repro.core.spmv.index_trace`.
+
+A symmetric half-storage plan (``kind="SYM"`` groups) renders through
+the same kernel frame as ``sym_crsd_dia_spmv(sym_dia_val, x, y)``: no
+local memory, no barriers, no loops; each case is an unrolled run of
+ternary-predicated multiply-adds, a forward and a mirror term per
+stored diagonal.
 """
 
 from __future__ import annotations
 
 import io
 
-from repro.codegen.plan import GroupPlan, KernelPlan, RegionPlan
+from repro.codegen.plan import (
+    GroupPlan,
+    KernelPlan,
+    RegionPlan,
+    full_offsets,
+    is_sym_plan,
+)
 
 _REAL = {"double": "double", "single": "float"}
 
@@ -31,6 +43,15 @@ _PREAMBLE = """\
 #pragma OPENCL EXTENSION cl_khr_fp64 : enable
 """
 
+_SYM_PREAMBLE = """\
+// Auto-generated symmetric CRSD SpMV kernel.
+// Half storage: only diagonals with offset >= 0 are kept; each stored
+// diagonal emits its forward term A[i,j]*x[j] -> y[i] and the transpose
+// term A[i,j]*x[i] -> y[j] in the same pass (one slab run, two reads),
+// halving the value bytes streamed for symmetric patterns.
+#pragma OPENCL EXTENSION cl_khr_fp64 : enable
+"""
+
 
 def generate_opencl_source(plan: KernelPlan, precision: str = "double") -> str:
     """Emit the OpenCL C program text for ``plan``."""
@@ -38,7 +59,8 @@ def generate_opencl_source(plan: KernelPlan, precision: str = "double") -> str:
     if real is None:
         raise ValueError(f"unknown precision {precision!r}")
     buf = io.StringIO()
-    buf.write(_PREAMBLE.format(mrows=plan.mrows))
+    buf.write(_SYM_PREAMBLE if is_sym_plan(plan)
+              else _PREAMBLE.format(mrows=plan.mrows))
     buf.write("\n")
     _emit_dia_kernel(buf, plan, real)
     if plan.scatter.num_rows:
@@ -48,9 +70,13 @@ def generate_opencl_source(plan: KernelPlan, precision: str = "double") -> str:
 
 
 def _emit_dia_kernel(buf: io.StringIO, plan: KernelPlan, real: str) -> None:
-    name = "crsd_dia_spmv" if plan.nvec == 1 else "crsd_dia_spmm"
+    if is_sym_plan(plan):
+        name, values = "sym_crsd_dia_spmv", "sym_dia_val"
+    else:
+        name = "crsd_dia_spmv" if plan.nvec == 1 else "crsd_dia_spmm"
+        values = "crsd_dia_val"
     buf.write(
-        f"__kernel void {name}(__global const {real}* restrict crsd_dia_val,\n"
+        f"__kernel void {name}(__global const {real}* restrict {values},\n"
         f"                            __global const {real}* restrict x,\n"
         f"                            __global {real}* restrict y)\n"
         "{\n"
@@ -93,7 +119,9 @@ def _emit_region_case(
     slab = f"{region.slab_base} + seg * {region.nnz_per_segment}"
     tile_in_use = False
     for g in region.groups:
-        if plan.nvec > 1:
+        if g.kind == "SYM":
+            _emit_sym_case(buf, plan, region, g, real)
+        elif plan.nvec > 1:
             _emit_multivec_case(buf, plan, region, g, slab, real)
         elif g.kind == "AD" and plan.use_local_memory:
             _emit_ad_case(buf, plan, region, g, slab, real,
@@ -197,6 +225,48 @@ def _emit_direct_case(
         buf.write(
             f"            acc += crsd_dia_val[{slab} + {d * m} + local_id] * xv;\n"
         )
+        buf.write("        }\n")
+
+
+def _emit_sym_case(
+    buf: io.StringIO, plan: KernelPlan, region: RegionPlan, g: GroupPlan,
+    real: str,
+) -> None:
+    """SYM group: stored ``+o`` at ``runbase`` in the diagonal-major
+    half slab; the mirror term of ``-o`` reads the partner row's slot
+    behind ``si >= runbase``."""
+    m = region.mrows
+    run = region.nrs * m
+    for off in full_offsets(g.offsets):
+        o = abs(off)
+        runbase = region.slab_base + g.offsets.index(o) * run
+        buf.write("        {\n")
+        if off >= 0:
+            buf.write(f"            // stored offset {off}\n")
+            buf.write(
+                f"            const {real} v = sym_dia_val[{runbase} + "
+                f"seg * {m} + local_id];\n"
+            )
+        else:
+            buf.write(f"            // full offset {off}: mirror of "
+                      f"stored +{o}\n")
+            buf.write(
+                f"            const int si = {runbase - o} + seg * {m} + "
+                "local_id;\n"
+            )
+            buf.write(
+                f"            const {real} v = (si >= {runbase})"
+                f" ? sym_dia_val[si] : ({real})0;\n"
+            )
+        buf.write(
+            f"            const int xi = {region.start_row + off} + "
+            f"seg * {m} + local_id;\n"
+        )
+        buf.write(
+            f"            const {real} xv = (xi >= 0 && xi < {plan.ncols})"
+            f" ? x[xi] : ({real})0;\n"
+        )
+        buf.write("            acc += v * xv;\n")
         buf.write("        }\n")
 
 

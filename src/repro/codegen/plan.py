@@ -1,19 +1,25 @@
 """Kernel plan: every constant the code generator bakes into a codelet.
 
 The plan is the single source of truth shared by the OpenCL-C and
-Python emitters.  It is derived purely from a
-:class:`~repro.core.crsd.CRSDMatrix` — i.e. from the information of
-Table II: per pattern region the number of row segments (NRS), the
+Python emitters and the analyzer's access model.  It is derived purely
+from a :class:`~repro.core.crsd.CRSDMatrix` — i.e. from the information
+of Table II: per pattern region the number of row segments (NRS), the
 slots per segment (NNzRS), the start row (SR), the diagonal count
 (NDias) and each diagonal's column value (Colv).
+
+A :class:`~repro.core.symcrsd.SymCRSDMatrix` gives the same plan shape
+(:func:`build_sym_plan`): each region holds one ``kind="SYM"`` group
+over the stored half, and every layer reads the plan kind off its
+groups (:func:`is_sym_plan`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.core.crsd import CRSDMatrix
+from repro.core.symcrsd import SymCRSDMatrix
 
 
 @dataclass(frozen=True)
@@ -23,7 +29,10 @@ class GroupPlan:
     Attributes
     ----------
     kind:
-        "AD" or "NAD".
+        "AD", "NAD" or "SYM".  A SYM group is a symmetric region's
+        whole stored half: its ``offsets`` are the stored (``>= 0``)
+        ones in storage order, and the emitters expand their mirror
+        closure (:func:`full_offsets`).
     d_first:
         Storage position of the group's first diagonal within the
         region (the ``d`` of the paper's location formula).
@@ -184,4 +193,59 @@ def build_plan(crsd: CRSDMatrix, use_local_memory: bool = True,
         ),
         use_local_memory=use_local_memory,
         nvec=nvec,
+    )
+
+
+def full_offsets(stored: Sequence[int]) -> Tuple[int, ...]:
+    """Mirror closure of the stored (non-negative) offsets, ascending —
+    the accumulation order shared by kernels, model and host matvec."""
+    return tuple(sorted(set(stored) | {-o for o in stored}))
+
+
+def is_sym_plan(plan: KernelPlan) -> bool:
+    """Whether ``plan`` serves a symmetric half carrier (its groups are
+    ``kind="SYM"``); the emitters then name its entries ``sym_*``."""
+    return any(g.kind == "SYM" for r in plan.regions for g in r.groups)
+
+
+def build_sym_plan(sym: SymCRSDMatrix) -> KernelPlan:
+    """Derive the kernel plan for a symmetric carrier.
+
+    ``slab_base`` indexes the diagonal-major half slab; each region has
+    a single ``kind="SYM"`` group whose offsets are the *stored* ones.
+    """
+    regions: List[RegionPlan] = []
+    gid_base = 0
+    slab_base = 0
+    for p, region in enumerate(sym.regions):
+        stored = sym.stored_offsets(p)
+        group = GroupPlan(
+            kind="SYM",
+            d_first=0,
+            offsets=tuple(stored),
+            colv=tuple(region.start_row + o for o in stored),
+        )
+        regions.append(
+            RegionPlan(
+                index=p,
+                gid_base=gid_base,
+                slab_base=slab_base,
+                start_row=region.start_row,
+                nrs=region.num_segments,
+                mrows=region.mrows,
+                nnz_per_segment=len(stored) * region.mrows,
+                groups=(group,),
+                signature=f"sym{region.pattern}",
+            )
+        )
+        gid_base += region.num_segments
+        slab_base += len(stored) * region.num_segments * region.mrows
+    return KernelPlan(
+        nrows=sym.nrows,
+        ncols=sym.ncols,
+        mrows=sym.mrows,
+        regions=tuple(regions),
+        scatter=ScatterPlan(num_rows=0, width=0),
+        use_local_memory=False,
+        nvec=1,
     )

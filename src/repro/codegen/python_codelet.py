@@ -24,6 +24,13 @@ and a ``*_batched`` form runs under
 deliberately identical between the two forms wherever broadcasting
 makes it shape-generic; only the accumulator shapes and the per-region
 flop literals (``x NRS``) differ.
+
+A symmetric half-storage plan (``kind="SYM"`` groups, from
+:func:`~repro.codegen.plan.build_sym_plan`) goes through the same
+module, codelets and dispatchers: only its group statements differ
+(each stored diagonal feeds a forward and a guarded mirror term), and
+its entries are named ``sym_dia_kernel``/``sym_dia_kernel_batched``,
+the names its spans and fault sites carry.
 """
 
 from __future__ import annotations
@@ -34,7 +41,13 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from repro.codegen.plan import GroupPlan, KernelPlan, RegionPlan
+from repro.codegen.plan import (
+    GroupPlan,
+    KernelPlan,
+    RegionPlan,
+    full_offsets,
+    is_sym_plan,
+)
 from repro.codegen.validator import validate_python_source
 
 
@@ -90,9 +103,15 @@ class _Writer:
         return self._buf.getvalue()
 
 
+def _dia_entry(plan: KernelPlan) -> str:
+    """Name of the diagonal kernel's per-group entry."""
+    return "sym_dia_kernel" if is_sym_plan(plan) else "crsd_dia_kernel"
+
+
 def expected_functions(plan: KernelPlan) -> List[str]:
     """Function inventory the emitted module must define for ``plan``."""
-    names = ["crsd_dia_kernel", "crsd_dia_kernel_batched"]
+    entry = _dia_entry(plan)
+    names = [entry, f"{entry}_batched"]
     for i in range(len(plan.regions)):
         names += [f"_codelet_p{i}", f"_codelet_p{i}_batched"]
     if plan.scatter.num_rows:
@@ -123,12 +142,13 @@ def generate_python_kernel(plan: KernelPlan,
             raise KernelAnalysisError(report)
     namespace: dict = {"np": np, "bisect_right": __import__("bisect").bisect_right}
     exec(compile(src, "<crsd-generated-kernel>", "exec"), namespace)
+    entry = _dia_entry(plan)
     return CompiledKernel(
         plan=plan,
         source=src,
-        dia_kernel=namespace["crsd_dia_kernel"],
+        dia_kernel=namespace[entry],
         scatter_kernel=namespace.get("crsd_scatter_kernel"),
-        dia_kernel_batched=namespace["crsd_dia_kernel_batched"],
+        dia_kernel_batched=namespace[f"{entry}_batched"],
         scatter_kernel_batched=namespace.get("crsd_scatter_kernel_batched"),
     )
 
@@ -186,7 +206,9 @@ def _emit_region_codelet(w: _Writer, plan: KernelPlan, region: RegionPlan,
             w.line(f"acc{j} = np.zeros({shape}, dtype=xb.data.dtype)")
     slab = f"{region.slab_base} + seg * {region.nnz_per_segment}"
     for g in region.groups:
-        if plan.nvec > 1:
+        if g.kind == "SYM":
+            _emit_sym_group(w, plan, region, g, batched)
+        elif plan.nvec > 1:
             _emit_group_multivec(w, plan, region, g, slab, batched)
         elif g.kind == "AD" and plan.use_local_memory:
             _emit_ad_group_local(w, plan, region, g, slab, batched)
@@ -288,6 +310,36 @@ def _emit_group_direct(
         w.line(f"ctx.flops({_flops_arg(2 * m, batched)})")
 
 
+def _emit_sym_group(
+    w: _Writer, plan: KernelPlan, region: RegionPlan, g: GroupPlan,
+    batched: bool = False
+) -> None:
+    """SYM group: the half slab is diagonal-major per region, so stored
+    offset ``+o`` is the run at ``runbase``.  It feeds the forward term
+    of full offset ``+o`` and, read at the partner row's slot
+    ``si = runbase - o + ...`` behind ``si >= runbase``, the mirror
+    term of ``-o``.  Terms run in the full pattern's ascending offset
+    order, the order of the host references."""
+    m = region.mrows
+    run = region.nrs * m
+    cmax = plan.ncols - 1
+    for off in full_offsets(g.offsets):
+        o = abs(off)
+        runbase = region.slab_base + g.offsets.index(o) * run
+        if off >= 0:
+            w.line(f"# stored offset {off}")
+            w.line(f"v = ctx.gload(dia_val, {runbase} + seg * {m} + lid)")
+        else:
+            w.line(f"# full offset {off}: mirror of stored +{o}")
+            w.line(f"si = {runbase - o} + seg * {m} + lid")
+            w.line(f"ms = si >= {runbase}")
+            w.line(f"v = ctx.gload(dia_val, np.maximum(si, {runbase}), mask=ms)")
+        w.line(f"xi = {region.start_row + off} + seg * {m} + lid")
+        w.line(f"mx = (xi >= 0) & (xi < {plan.ncols})")
+        w.line(f"acc = acc + v * ctx.gload(xb, np.clip(xi, 0, {cmax}), mask=mx)")
+        w.line(f"ctx.flops({_flops_arg(2 * m, batched)})")
+
+
 # ----------------------------------------------------------------------
 # dispatcher and scatter kernel
 # ----------------------------------------------------------------------
@@ -304,7 +356,7 @@ def _emit_dispatcher(w: _Writer, plan: KernelPlan) -> None:
         bounds.append(acc)
     w.line(f"_GID_BOUNDS = {tuple(bounds)!r}")
     w.line()
-    w.line("def crsd_dia_kernel(ctx, dia_val, xb, yb):")
+    w.line(f"def {_dia_entry(plan)}(ctx, dia_val, xb, yb):")
     w.indent()
     w.line('"""Diagonal-pattern part: one work-group per row segment."""')
     if not plan.regions:
@@ -328,7 +380,7 @@ def _emit_dispatcher_batched(w: _Writer, plan: KernelPlan) -> None:
     child :class:`~repro.ocl.executor.BatchCtx`).  Each child is
     finalized before the next region starts so the L2 replay keeps the
     per-group launch order."""
-    w.line("def crsd_dia_kernel_batched(ctx, dia_val, xb, yb):")
+    w.line(f"def {_dia_entry(plan)}_batched(ctx, dia_val, xb, yb):")
     w.indent()
     w.line('"""Diagonal-pattern part, all row segments batched."""')
     if not plan.regions:

@@ -15,6 +15,8 @@ from typing import Dict, Tuple
 
 import numpy as np
 
+from repro.validation import is_real_numeric
+
 #: dtype used for all stored values; kernels cast to float32 on demand.
 VALUE_DTYPE = np.float64
 
@@ -46,10 +48,17 @@ def check_shape(shape: Tuple[int, int]) -> Tuple[int, int]:
 def check_vector(x: np.ndarray, n: int, name: str = "x") -> np.ndarray:
     """Validate a source/destination vector of length ``n``.
 
-    Returns ``x`` as a contiguous 1-D float array (no copy when already
-    conforming).
+    ``x`` must have a real numeric dtype (float/int; complex, string,
+    bool and object inputs raise :class:`FormatError`), the dtype rule
+    of :func:`~repro.validation.check_operand`.  Returns ``x`` as a
+    contiguous 1-D float array (no copy when already conforming; a
+    strided slice, such as a column of a block of vectors, is copied).
     """
     x = np.asarray(x)
+    if not is_real_numeric(x):
+        raise FormatError(
+            f"{name} has unsupported dtype {x.dtype}; expected a real "
+            "numeric dtype (float/int)")
     if x.ndim != 1:
         raise FormatError(f"{name} must be 1-D, got ndim={x.ndim}")
     if x.shape[0] != n:

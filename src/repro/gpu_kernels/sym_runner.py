@@ -8,6 +8,13 @@ from DRAM once*: the mirror read lands on lines the forward read of the
 neighbouring segment brought into L2, so DRAM value traffic roughly
 halves versus the full carrier, which is the point of the format.
 
+The plan is a plain :class:`~repro.codegen.plan.KernelPlan` whose
+groups are ``kind="SYM"``
+(:func:`~repro.codegen.plan.build_sym_plan`), so the shared emitters
+(:func:`~repro.codegen.python_codelet.generate_python_kernel`,
+:func:`~repro.codegen.opencl_source.generate_opencl_source`) and the
+shared analyzer serve it.
+
 Single launch, no scatter pass: it launches through the full runner's
 :func:`~repro.gpu_kernels.crsd_runner.launch_plan`, which skips the
 scatter launch because a symmetric plan has no scatter rows.  The
@@ -19,7 +26,9 @@ choice, not a fallback incident, so no ``fused.uncertified`` event).
 
 from __future__ import annotations
 
-from repro.codegen.sym_codelet import build_sym_plan, generate_sym_python_kernel
+from repro.codegen.opencl_source import generate_opencl_source
+from repro.codegen.plan import build_sym_plan
+from repro.codegen.python_codelet import generate_python_kernel
 from repro.core.symcrsd import SymCRSDMatrix
 from repro.gpu_kernels.base import GPUSpMV, SpMVRun
 from repro.gpu_kernels.crsd_runner import launch_plan
@@ -33,7 +42,7 @@ class SymCrsdSpMV(GPUSpMV):
     matrix:
         The symmetric half carrier.
     strict:
-        Run the symmetric analyzer over the plan before compiling;
+        Run the static analyzer over the plan before compiling;
         raises :class:`~repro.analyze.report.KernelAnalysisError` on
         any violation.
     """
@@ -46,15 +55,7 @@ class SymCrsdSpMV(GPUSpMV):
         super().__init__(**kwargs)
         self.matrix = matrix
         self.plan = build_sym_plan(matrix)
-        if strict:
-            from repro.analyze.report import KernelAnalysisError
-            from repro.analyze.symmetric import analyze_sym_plan
-
-            report = analyze_sym_plan(self.plan, device=self.device,
-                                      precision=self.precision)
-            if not report.ok:
-                raise KernelAnalysisError(report)
-        self.kernel = generate_sym_python_kernel(self.plan)
+        self.kernel = generate_python_kernel(self.plan, strict=strict)
 
     @property
     def nrows(self) -> int:
@@ -67,9 +68,7 @@ class SymCrsdSpMV(GPUSpMV):
     @property
     def opencl_source(self) -> str:
         """The OpenCL C rendering of the same kernel (for inspection)."""
-        from repro.codegen.sym_codelet import generate_sym_opencl_source
-
-        return generate_sym_opencl_source(self.plan, self.precision)
+        return generate_opencl_source(self.plan, self.precision)
 
     def _prepare(self) -> None:
         self._sym_val = self.context.alloc(

@@ -11,7 +11,6 @@ with the cost model and derives the metric set
 
 from __future__ import annotations
 
-import os
 from typing import Optional, Sequence
 
 import numpy as np
@@ -21,6 +20,7 @@ from repro.obs.metrics import MetricRegistry
 from repro.obs.recorder import ProfileSession, observe
 from repro.obs.report import ProfileReport
 from repro.ocl.device import DeviceSpec, TESLA_C2050
+from repro.ocl.executor import DEFAULT_SWEEP_EXECUTORS, executor_sweep
 
 __all__ = ["profile_matrix", "profile_runner"]
 
@@ -74,7 +74,7 @@ def profile_matrix(
     name: str = "matrix",
     *,
     formats: Sequence[str] = ("crsd",),
-    executors: Sequence[str] = ("batched", "pergroup"),
+    executors: Sequence[str] = DEFAULT_SWEEP_EXECUTORS,
     precisions: Sequence[str] = ("double",),
     device: DeviceSpec = TESLA_C2050,
     mrows: int = 128,
@@ -98,13 +98,7 @@ def profile_matrix(
     # imported lazily: the executor itself hooks into repro.obs.recorder
     from repro.bench.runner import _build_runners
     from repro.ocl.errors import OCLError
-    from repro.ocl.executor import EXECUTOR_ENV, EXECUTOR_MODES
     from repro.perf.costmodel import predict_gpu_time
-
-    for ex in executors:
-        if ex not in EXECUTOR_MODES:
-            raise ValueError(
-                f"unknown executor {ex!r}; expected one of {EXECUTOR_MODES}")
 
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(coo.ncols)
@@ -114,51 +108,44 @@ def profile_matrix(
     session = ProfileSession(name)
     registry = MetricRegistry()
     skips = []
-    saved = os.environ.get(EXECUTOR_ENV)
-    try:
-        with observe(session=session):
-            for precision in precisions:
-                tol = 1e-6 if precision == "double" else 1e-2
-                for executor in executors:
-                    os.environ[EXECUTOR_ENV] = executor
-                    for fmt in formats:
-                        entry = f"{fmt}/{executor}/{precision}"
-                        try:
-                            with session.span(entry, "profile",
-                                              format=fmt, executor=executor,
-                                              precision=precision):
-                                runner = _build_runners(
-                                    coo, device, precision, [fmt], mrows,
-                                    use_local_memory,
-                                )[fmt]
-                                run = runner.run(x)
-                        except OCLError as exc:
-                            skips.append({
-                                "entry": entry,
-                                "format": fmt,
-                                "executor": executor,
-                                "precision": precision,
-                                "error": type(exc).__name__,
-                                "reason": str(exc),
-                            })
-                            continue
-                        err = float(np.abs(run.y - ref).max()) / refscale
-                        seconds = predict_gpu_time(
-                            run.trace, device, precision,
-                            num_launches=_num_launches(fmt, runner),
-                            size_scale=size_scale,
-                        ).total
-                        registry.record(
-                            entry, run.trace, device, precision,
-                            nnz=coo.nnz, seconds=seconds,
-                            format=fmt, executor=executor,
-                            verified=bool(err <= tol), rel_err=err,
-                        )
-    finally:
-        if saved is None:
-            os.environ.pop(EXECUTOR_ENV, None)
-        else:
-            os.environ[EXECUTOR_ENV] = saved
+    with executor_sweep(executors) as select, observe(session=session):
+        for precision in precisions:
+            tol = 1e-6 if precision == "double" else 1e-2
+            for executor in executors:
+                select(executor)
+                for fmt in formats:
+                    entry = f"{fmt}/{executor}/{precision}"
+                    try:
+                        with session.span(entry, "profile",
+                                          format=fmt, executor=executor,
+                                          precision=precision):
+                            runner = _build_runners(
+                                coo, device, precision, [fmt], mrows,
+                                use_local_memory,
+                            )[fmt]
+                            run = runner.run(x)
+                    except OCLError as exc:
+                        skips.append({
+                            "entry": entry,
+                            "format": fmt,
+                            "executor": executor,
+                            "precision": precision,
+                            "error": type(exc).__name__,
+                            "reason": str(exc),
+                        })
+                        continue
+                    err = float(np.abs(run.y - ref).max()) / refscale
+                    seconds = predict_gpu_time(
+                        run.trace, device, precision,
+                        num_launches=_num_launches(fmt, runner),
+                        size_scale=size_scale,
+                    ).total
+                    registry.record(
+                        entry, run.trace, device, precision,
+                        nnz=coo.nnz, seconds=seconds,
+                        format=fmt, executor=executor,
+                        verified=bool(err <= tol), rel_err=err,
+                    )
 
     from repro.core.serialize import fingerprint as _fingerprint
 

@@ -39,9 +39,10 @@ execution path") simply never report, scoring efficiency 1.0.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import os
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -75,6 +76,9 @@ EXECUTOR_ENV = "REPRO_EXECUTOR"
 #: recognised engine names
 EXECUTOR_MODES = ("batched", "pergroup", "fused")
 
+#: the engines a profile or chaos sweep runs when none are named
+DEFAULT_SWEEP_EXECUTORS = ("batched", "pergroup")
+
 #: most lanes one :func:`launch_grid` chunk spans: bounds the
 #: ``(groups, lanes)`` arrays a batched kernel statement materialises
 BATCH_CHUNK_LANES = 1 << 15
@@ -105,6 +109,36 @@ def executor_mode() -> str:
             f"expected one of {EXECUTOR_MODES}"
         )
     return mode
+
+
+@contextlib.contextmanager
+def executor_sweep(
+    executors: Sequence[str],
+) -> Iterator[Callable[[str], None]]:
+    """Run one sweep over several engines in this process.
+
+    Every name in ``executors`` is checked up front (``ValueError``
+    for one not in :data:`EXECUTOR_MODES`).  The block receives
+    ``select(mode)``, which sets ``REPRO_EXECUTOR`` for what follows;
+    on exit the variable gets back its earlier value, or is removed
+    if it was unset, also when the block raises.
+    """
+    for ex in executors:
+        if ex not in EXECUTOR_MODES:
+            raise ValueError(
+                f"unknown executor {ex!r}; expected one of {EXECUTOR_MODES}")
+    saved = os.environ.get(EXECUTOR_ENV)
+
+    def select(mode: str) -> None:
+        os.environ[EXECUTOR_ENV] = mode
+
+    try:
+        yield select
+    finally:
+        if saved is None:
+            os.environ.pop(EXECUTOR_ENV, None)
+        else:
+            os.environ[EXECUTOR_ENV] = saved
 
 
 def kernel_name(kernel: Callable) -> str:

@@ -17,13 +17,13 @@ with the same seed produce byte-identical JSON.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.ocl.device import DeviceSpec, TESLA_C2050
+from repro.ocl.executor import DEFAULT_SWEEP_EXECUTORS, executor_sweep
 from repro.resilience.engine import resilient_spmv
 from repro.resilience.faults import FaultInjector, FaultSpec, inject
 from repro.resilience.policy import Policy, ResilienceExhausted
@@ -272,7 +272,7 @@ def chaos_sweep(
     *,
     matrices: Optional[Sequence[int]] = None,
     format: str = "crsd",
-    executors: Sequence[str] = ("batched", "pergroup"),
+    executors: Sequence[str] = DEFAULT_SWEEP_EXECUTORS,
     precisions: Sequence[str] = ("double", "single"),
     device: DeviceSpec = TESLA_C2050,
     mrows: int = 128,
@@ -286,14 +286,9 @@ def chaos_sweep(
     suspended and the two ``y`` arrays are compared bit-for-bit.
     """
     from repro.matrices.suite23 import SUITE
-    from repro.ocl.executor import EXECUTOR_ENV, EXECUTOR_MODES
     from repro.resilience.engine import _make_rung_runner
     from repro.gpu_kernels.base import precision_dtype
 
-    for ex in executors:
-        if ex not in EXECUTOR_MODES:
-            raise ValueError(
-                f"unknown executor {ex!r}; expected one of {EXECUTOR_MODES}")
     specs = tuple(specs) if specs is not None else default_chaos_specs()
     policy = policy or Policy(max_attempts=2)
     nums = set(matrices) if matrices is not None else None
@@ -311,8 +306,7 @@ def chaos_sweep(
         "device": device.name,
         "mrows": mrows,
     })
-    saved = os.environ.get(EXECUTOR_ENV)
-    try:
+    with executor_sweep(executors) as select:
         for spec_m in SUITE:
             if nums is not None and spec_m.number not in nums:
                 continue
@@ -320,7 +314,7 @@ def chaos_sweep(
             rng = np.random.default_rng(seed + spec_m.number)
             x = rng.standard_normal(coo.ncols)
             for ei, executor in enumerate(executors):
-                os.environ[EXECUTOR_ENV] = executor
+                select(executor)
                 for pi, precision in enumerate(precisions):
                     case: Dict[str, Any] = {
                         "matrix": spec_m.name,
@@ -370,9 +364,4 @@ def chaos_sweep(
                         incident=inc.to_dict(),
                     )
                     report.cases.append(case)
-    finally:
-        if saved is None:
-            os.environ.pop(EXECUTOR_ENV, None)
-        else:
-            os.environ[EXECUTOR_ENV] = saved
     return report

@@ -31,13 +31,21 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["InputValidationError", "check_operand", "validate_matrix",
-           "validate_symmetric"]
+__all__ = ["InputValidationError", "check_operand", "is_real_numeric",
+           "validate_matrix", "validate_symmetric"]
 
 
 class InputValidationError(ValueError):
     """An input failed validation (bad dtype, shape, layout, or
     non-finite entries)."""
+
+
+def is_real_numeric(arr: np.ndarray) -> bool:
+    """Whether ``arr`` has a real numeric dtype (float, signed or
+    unsigned int): the dtype rule of every operand contract, GPU
+    (:func:`check_operand`) and CPU
+    (:func:`~repro.formats.base.check_vector`) alike."""
+    return arr.dtype.kind in "fiu"
 
 
 def check_operand(x, ncols: int, nvec: Optional[int] = None, *,
@@ -56,7 +64,7 @@ def check_operand(x, ncols: int, nvec: Optional[int] = None, *,
     """
     name = "x" if nvec is None else "X"
     arr = np.asarray(x)
-    if arr.dtype.kind not in "fiu":
+    if not is_real_numeric(arr):
         raise InputValidationError(
             f"{name} has unsupported dtype {arr.dtype}; expected a real "
             "numeric dtype (float/int)")

@@ -5,8 +5,8 @@
 (L2 residency depends on execution order and is out of static scope).
 These tests hold it to that claim bit-for-bit — every counter equal,
 ``dataclasses.asdict`` on both sides — across the whole 23-matrix
-bench suite, both precisions, local memory on and off, and the
-multi-vector SpMM variant.
+bench suite, both precisions, local memory on and off, the
+multi-vector SpMM variant and symmetric half-storage plans.
 
 ``repro.analyze.synthesize_trace`` is the one walk the fused engine
 and the shard certificate trust for every counter; it is held to the
@@ -27,9 +27,12 @@ from repro.analyze import (
     synthesize_trace,
 )
 from repro.bench.runner import bench_scale, effective_scale, scaled_device
-from repro.codegen.plan import build_plan
+from repro.codegen.plan import build_plan, build_sym_plan
 from repro.core.crsd import CRSDMatrix, compatible_wavefront
+from repro.core.symcrsd import SymCRSDMatrix
 from repro.gpu_kernels.crsd_runner import CrsdSpMM, CrsdSpMV
+from repro.gpu_kernels.sym_runner import SymCrsdSpMV
+from repro.matrices import generators as gen
 from repro.matrices.suite23 import SUITE, get_spec
 from repro.ocl.device import TESLA_C2050
 from tests.conftest import random_diagonal_matrix
@@ -52,6 +55,14 @@ def static_trace(crsd, use_local_memory=True, nvec=1, precision="double"):
                         scatter_colval=crsd.scatter_colval,
                         scatter_rowno=crsd.scatter_rowno)
     return predict_trace(model, NO_L2)
+
+
+#: symmetric inputs: a wide band, gapped diagonals, a KKT block
+SYM_CASES = {
+    "banded_k7": lambda r: gen.symmetric_banded(512, 7, r),
+    "gapped": lambda r: gen.symmetric_diagonals(320, [1, 4, 9], r),
+    "kkt_h": lambda r: gen.kkt_blocks(256, 128, r)[0],
+}
 
 
 def assert_bit_identical(static, dynamic):
@@ -111,6 +122,19 @@ class TestVariants:
         x = np.random.default_rng(9).standard_normal((coo.ncols, nvec))
         run = CrsdSpMM(crsd, nvec=nvec, device=NO_L2).run(x)
         assert_bit_identical(static_trace(crsd, nvec=nvec), run.trace)
+
+
+    @pytest.mark.parametrize("case", sorted(SYM_CASES))
+    @pytest.mark.parametrize("precision", ["double", "single"])
+    def test_symmetric(self, case, precision):
+        """Symmetric plans, modelled by the shared builder: forward
+        and guarded mirror slab reads alike."""
+        rng = np.random.default_rng(11)
+        sym = SymCRSDMatrix.from_coo(SYM_CASES[case](rng), mrows=32)
+        x = rng.standard_normal(sym.ncols)
+        run = SymCrsdSpMV(sym, device=NO_L2, precision=precision).run(x)
+        model = build_model(build_sym_plan(sym), precision=precision)
+        assert_bit_identical(predict_trace(model, NO_L2), run.trace)
 
 
 class TestReportMetrics:

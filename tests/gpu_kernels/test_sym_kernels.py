@@ -1,16 +1,18 @@
 """Symmetric CRSD runner: differential bit-identity and DRAM gates.
 
 The half-storage runner must serve exactly the bits the full CRSD
-runner serves — every generator, both precisions, both executor
-engines — while moving measurably fewer DRAM bytes, and the analyzer's
+runner serves — every generator, both precisions, every executor
+engine — while moving measurably fewer DRAM bytes, and the analyzer's
 closed-form L2 prediction must equal the dynamic trace *exactly*.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from repro.analyze import build_model, build_sym_model, synthesize_trace
-from repro.codegen.sym_codelet import build_sym_plan
+from repro.analyze import build_model, synthesize_trace
+from repro.codegen.plan import build_sym_plan
 from repro.core.crsd import CRSDMatrix
 from repro.core.symcrsd import SymCRSDMatrix
 from repro.gpu_kernels import CrsdSpMM, CrsdSpMV, SymCrsdSpMV
@@ -59,16 +61,23 @@ def test_bit_identical_to_full_crsd(case, precision, mode, nprng,
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_executor_engines_identical(case, nprng, monkeypatch):
+    """Every engine serves the same ``y`` bytes and records the same
+    trace, every counter (L2 hits included), in both precisions."""
     coo = CASES[case](nprng)
     _, sym = build_pair(coo)
     x = nprng.standard_normal(coo.shape[1])
-    runs = {}
-    for mode in ("batched", "pergroup"):
-        monkeypatch.setenv("REPRO_EXECUTOR", mode)
-        runs[mode] = SymCrsdSpMV(sym).run(x)
-    assert np.array_equal(runs["batched"].y, runs["pergroup"].y)
-    assert (runs["batched"].trace.global_load_transactions
-            == runs["pergroup"].trace.global_load_transactions)
+    for precision in ("double", "single"):
+        runs = {}
+        for mode in ("fused", "batched", "pergroup"):
+            monkeypatch.setenv("REPRO_EXECUTOR", mode)
+            runs[mode] = SymCrsdSpMV(sym, precision=precision).run(x)
+        ref = runs["pergroup"]
+        assert ref.trace.l2_hits > 0
+        for mode in ("fused", "batched"):
+            assert runs[mode].y.tobytes() == ref.y.tobytes(), mode
+            assert runs[mode].trace == ref.trace, (
+                mode, dataclasses.asdict(runs[mode].trace),
+                dataclasses.asdict(ref.trace))
 
 
 def test_dram_bytes_reduction_at_least_40pct(nprng):
@@ -109,7 +118,7 @@ def test_static_l2_prediction_exact(case, nprng, monkeypatch):
         _, sym = build_pair(coo)
         x = nprng.standard_normal(coo.shape[1])
         dyn = SymCrsdSpMV(sym).run(x).trace
-        model = build_sym_model(build_sym_plan(sym))
+        model = build_model(build_sym_plan(sym))
     else:
         nvec, l2_bytes = FULL_CASES[case]
         if l2_bytes is not None:

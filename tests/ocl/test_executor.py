@@ -1,11 +1,19 @@
 """Simulated runtime: contexts, launches, tracing, divergence, barriers."""
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.ocl.device import TESLA_C2050
 from repro.ocl.errors import DeviceMemoryError, LaunchError, LocalMemoryError
-from repro.ocl.executor import Context, launch
+from repro.ocl.executor import (
+    EXECUTOR_ENV,
+    Context,
+    executor_mode,
+    executor_sweep,
+    launch,
+)
 from repro.ocl.trace import KernelTrace
 from repro.validation import InputValidationError
 
@@ -228,3 +236,35 @@ class TestTrace:
 
     def test_device_accepts_disabled_l2(self):
         assert TESLA_C2050.with_overrides(l2_bytes=0).l2_bytes == 0
+
+
+class TestExecutorSweep:
+    """``executor_sweep`` selects engines inside the block and gives
+    ``REPRO_EXECUTOR`` back its earlier state on every exit."""
+
+    @pytest.mark.parametrize("before", [None, "pergroup"])
+    def test_restores_on_exit_and_on_error(self, before, monkeypatch):
+        if before is None:
+            monkeypatch.delenv(EXECUTOR_ENV, raising=False)
+        else:
+            monkeypatch.setenv(EXECUTOR_ENV, before)
+        with executor_sweep(("batched", "fused")) as select:
+            select("batched")
+            assert executor_mode() == "batched"
+            select("fused")
+            assert executor_mode() == "fused"
+        assert os.environ.get(EXECUTOR_ENV) == before
+        with pytest.raises(RuntimeError):
+            with executor_sweep(("batched",)) as select:
+                select("batched")
+                raise RuntimeError("case failed")
+        assert os.environ.get(EXECUTOR_ENV) == before
+
+    def test_unknown_executor_raises_before_the_block(self, monkeypatch):
+        monkeypatch.setenv(EXECUTOR_ENV, "pergroup")
+        entered = []
+        with pytest.raises(ValueError, match="unknown executor 'gpu'"):
+            with executor_sweep(("batched", "gpu")):
+                entered.append(True)
+        assert not entered
+        assert os.environ[EXECUTOR_ENV] == "pergroup"

@@ -10,7 +10,17 @@ import repro
 from repro.analyze.sharding import certify_shard_plan
 from repro.cluster.engine import ClusterEngine
 from repro.core.crsd import CRSDMatrix
+from repro.core.spmv import spmv_interpreted
 from repro.core.symcrsd import SymCRSDMatrix
+from repro.formats import (
+    BCSRMatrix,
+    CSRMatrix,
+    DeltaCSRMatrix,
+    DIAMatrix,
+    ELLMatrix,
+    FormatError,
+    HYBMatrix,
+)
 from repro.gpu_kernels.crsd_runner import CrsdSpMM, CrsdSpMV
 from repro.gpu_kernels.sym_runner import SymCrsdSpMV
 from repro.matrices.generators import symmetric_banded
@@ -182,6 +192,45 @@ class TestVectorValidation:
         assert issubclass(InputValidationError, ValueError)
         with pytest.raises(ValueError):
             check_operand(np.zeros(3), 5)
+
+
+#: every CPU reference product, built from one symmetric COO matrix
+CPU_REFERENCES = {
+    "coo": lambda coo: coo.matvec,
+    "csr": lambda coo: CSRMatrix.from_coo(coo).matvec,
+    "ell": lambda coo: ELLMatrix.from_coo(coo).matvec,
+    "dia": lambda coo: DIAMatrix.from_coo(coo).matvec,
+    "hyb": lambda coo: HYBMatrix.from_coo(coo).matvec,
+    "dcsr": lambda coo: DeltaCSRMatrix.from_coo(coo).matvec,
+    "bcsr": lambda coo: BCSRMatrix.from_coo(coo).matvec,
+    "crsd": lambda coo: CRSDMatrix.from_coo(coo, mrows=32).matvec,
+    "symcrsd": lambda coo: SymCRSDMatrix.from_coo(coo, mrows=32).matvec,
+    "spmv_interpreted": lambda coo: (
+        lambda x: spmv_interpreted(CRSDMatrix.from_coo(coo, mrows=32), x)),
+}
+
+
+class TestCpuReferenceContract:
+    """The CPU references take the operand dtype rule of
+    ``check_operand``: a complex or string ``x`` raises instead of
+    being cast (dropping the imaginary part, parsing the strings)."""
+
+    @pytest.mark.parametrize("fmt", sorted(CPU_REFERENCES))
+    def test_rejects_non_real_dtypes(self, fmt):
+        coo = symmetric_banded(64, 2, np.random.default_rng(3))
+        matvec = CPU_REFERENCES[fmt](coo)
+        x = np.arange(64, dtype=np.float64)
+        ref = coo.matvec(x)
+        assert np.allclose(matvec(x), ref)
+        assert np.allclose(matvec(np.arange(64)), ref)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bad in (x + 1j, x.astype(str)):
+                with pytest.raises(FormatError, match="unsupported dtype"):
+                    matvec(bad)
+        # a strided column slice is still copied, not refused
+        block = np.stack([x, x], axis=1)
+        assert np.allclose(matvec(block[:, 1]), ref)
 
 
 class TestBatchValidation:
