@@ -3,9 +3,10 @@
 The generated codelets only ever index memory with *affine* expressions
 of the region-local segment number ``seg`` and the lane id ``lid`` —
 every coefficient is a literal baked by the code generator.  This
-module rebuilds those expressions directly from the
-:class:`~repro.codegen.plan.KernelPlan` (the single source of truth
-both renderings are emitted from), producing a list of
+module rebuilds those expressions from the
+:class:`~repro.codegen.plan.KernelPlan`'s term lists
+(:func:`~repro.codegen.plan.region_terms`, the single source of
+addresses both renderings are emitted from), producing a list of
 :class:`GlobalAccess` / :class:`LocalOp` records per codelet that the
 checkers reason over *without executing any kernel*.
 
@@ -15,11 +16,11 @@ and an optional lane bound ``lane < lane_bound`` — exactly the masks the
 Python rendering passes to ``gload``/``gstore`` and the OpenCL rendering
 expresses as ``if (xi >= 0 && xi < N)`` predication.
 
-A symmetric half-storage plan is modelled by the same builder: its
-``kind="SYM"`` groups read the half slab (the model's ``dia_val``
-buffer) once per stored diagonal for the forward term and once more,
-behind a lower guard at the run base, for the mirror term — both
-affine, unit-lane-stride accesses like every other.
+A symmetric half-storage plan is modelled by the same builder: the
+terms of its ``kind="SYM"`` groups read the half slab (the model's
+``dia_val`` buffer) once per stored diagonal for the forward term and
+once more, behind a lower guard at the run base, for the mirror term —
+both affine, unit-lane-stride accesses like every other.
 
 Indirect accesses (the scatter kernel's ``x[scatter_colval[...]]``
 gather and ``y[scatter_rowno[...]]`` store) go through constant index
@@ -32,11 +33,13 @@ the accesses are recorded as range-assumed (see
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.codegen.plan import KernelPlan, RegionPlan, full_offsets
+from repro.codegen.plan import KernelPlan, RegionPlan, region_terms
 
 
 @dataclass(frozen=True)
@@ -264,8 +267,8 @@ def build_model(
 
 
 # ----------------------------------------------------------------------
-# region codelets — mirrors codegen.python_codelet statement for
-# statement (the emitted masks/clips become guards here)
+# region codelets — one access per term load, like the emitted
+# statements (the emitted masks/clips become guards here)
 # ----------------------------------------------------------------------
 
 def _build_region(plan: KernelPlan, region: RegionPlan,
@@ -274,120 +277,79 @@ def _build_region(plan: KernelPlan, region: RegionPlan,
     rm = RegionModel(region=region, y_row_base=region.start_row)
     shared_written = False  # OpenCL xtile already used by an earlier AD group
 
-    def dia_load(d: int, label: str) -> GlobalAccess:
-        return GlobalAccess(
-            buffer="dia_val", kind="load",
-            base=region.slab_base + d * m,
-            seg_coeff=region.nnz_per_segment, lane_coeff=1,
-            nsegs=region.nrs, lanes=m, label=label,
-        )
-
-    for g in region.groups:
-        glabel = f"region {region.index} {g.kind} group d{g.d_first}"
-        if g.kind == "SYM":
-            run = region.nrs * m
-            for off in full_offsets(g.offsets):
-                o = abs(off)
-                runbase = region.slab_base + g.offsets.index(o) * run
-                # the mirror term reads the partner row's stored slot,
-                # guarded below by the run base (rows before SR have no
-                # partner in this region — the build declined those)
-                rm.accesses.append(GlobalAccess(
-                    buffer="dia_val", kind="load",
-                    base=runbase - o if off < 0 else runbase,
-                    seg_coeff=m, lane_coeff=1,
-                    nsegs=region.nrs, lanes=m,
-                    guard_lo=runbase if off < 0 else None,
-                    label=f"{glabel} dia_val[stored {o}, full {off}]",
-                ))
-                rm.accesses.append(GlobalAccess(
-                    buffer="x", kind="load",
-                    base=region.start_row + off, seg_coeff=m, lane_coeff=1,
-                    nsegs=region.nrs, lanes=m,
-                    guard_lo=0, guard_hi=plan.ncols,
-                    label=f"{glabel} x[off={off}]",
-                ))
-                rm.flops_per_group += 2 * m
-        elif plan.nvec > 1:
-            for jj in range(g.ndiags):
-                d = g.d_first + jj
-                rm.accesses.append(dia_load(d, f"{glabel} dia_val[d={d}]"))
-                for j in range(plan.nvec):
-                    rm.accesses.append(GlobalAccess(
-                        buffer="x", kind="load",
-                        base=j * plan.ncols + g.colv[jj],
-                        seg_coeff=m, lane_coeff=1,
-                        nsegs=region.nrs, lanes=m,
-                        guard_lo=j * plan.ncols,
-                        guard_hi=j * plan.ncols + plan.ncols,
-                        label=f"{glabel} x[vec {j}, d={d}]",
-                    ))
-                rm.flops_per_group += 2 * m * plan.nvec
-        elif g.kind == "AD" and plan.use_local_memory:
-            n = g.ndiags
-            tile_len = m + n - 1
-            tile = f"tile_d{g.d_first}"
+    for g, terms in groupby(region_terms(plan, region),
+                            key=attrgetter("group")):
+        terms = tuple(terms)
+        glabel = (f"region {region.index} {g.kind} group "
+                  f"d{min(t.d for t in terms)}")
+        if terms[0].tile is not None:
+            tile_len = m + len(terms) - 1
+            tbase = terms[0].col - terms[0].tile
+            tile = f"tile_d{terms[0].d - terms[0].tile}"
             rm.tiles[tile] = tile_len
             # staging pass s: x[tbase + s*m + lid] -> tile[s*m + lid],
-            # lanes [0, min(tile_len - s*m, m))
-            stores = [LocalOp("store", tile, base=0, lane_coeff=1,
-                              lane_bound=m)]
-            rm.accesses.append(GlobalAccess(
-                buffer="x", kind="load",
-                base=g.colv[0], seg_coeff=m, lane_coeff=1,
-                nsegs=region.nrs, lanes=m,
-                guard_lo=0, guard_hi=plan.ncols,
-                label=f"{glabel} x tile stage 1",
-            ))
-            for s in range(1, -(-tile_len // m)):
+            # lanes [0, min(tile_len - s*m, m)); the first pass is
+            # unbounded (tile_len >= m)
+            stores = []
+            for s in range(-(-tile_len // m)):
                 extra = min(tile_len - s * m, m)
                 rm.accesses.append(GlobalAccess(
                     buffer="x", kind="load",
-                    base=g.colv[0] + s * m, seg_coeff=m, lane_coeff=1,
+                    base=tbase + s * m, seg_coeff=m, lane_coeff=1,
                     nsegs=region.nrs, lanes=m,
                     guard_lo=0, guard_hi=plan.ncols,
-                    lane_bound=extra,
+                    lane_bound=extra if s else None,
                     label=f"{glabel} x tile stage {s + 1}",
                 ))
                 stores.append(LocalOp("store", tile, base=s * m,
                                       lane_coeff=1, lane_bound=extra))
-            loads = []
-            for j in range(n):
-                d = g.d_first + j
-                rm.accesses.append(dia_load(d, f"{glabel} dia_val[d={d}]"))
-                loads.append(LocalOp("load", tile, base=j, lane_coeff=1,
-                                     lane_bound=m))
-                rm.flops_per_group += 2 * m
             # Python rendering: fresh tile per AD group
             rm.local_ops.extend(stores)
             rm.local_ops.append(LocalOp("barrier"))
-            rm.local_ops.extend(loads)
             rm.barriers_per_group += 1
             # OpenCL rendering: one shared xtile; restaging it after a
             # previous AD group read it needs a wait-for-reads barrier
-            shared = [LocalOp(o.op, "xtile", o.base, o.lane_coeff,
-                              o.lane_bound) for o in stores]
             if shared_written:
                 rm.opencl_local_ops.append(LocalOp("barrier"))
-            rm.opencl_local_ops.extend(shared)
-            rm.opencl_local_ops.append(LocalOp("barrier"))
             rm.opencl_local_ops.extend(
                 LocalOp(o.op, "xtile", o.base, o.lane_coeff, o.lane_bound)
-                for o in loads
-            )
+                for o in stores)
+            rm.opencl_local_ops.append(LocalOp("barrier"))
             shared_written = True
-        else:
-            for j in range(g.ndiags):
-                d = g.d_first + j
-                rm.accesses.append(dia_load(d, f"{glabel} dia_val[d={d}]"))
-                rm.accesses.append(GlobalAccess(
-                    buffer="x", kind="load",
-                    base=g.colv[j], seg_coeff=m, lane_coeff=1,
-                    nsegs=region.nrs, lanes=m,
-                    guard_lo=0, guard_hi=plan.ncols,
-                    label=f"{glabel} x[d={d}]",
-                ))
-                rm.flops_per_group += 2 * m
+        for t in terms:
+            if g.kind == "SYM":
+                # a mirror term reads the partner row's stored slot,
+                # guarded below by the run base (rows before SR have no
+                # partner in this region — the build declined those)
+                dia = f"stored {abs(t.offset)}, full {t.offset}"
+                xname = f"off={t.offset}"
+            else:
+                dia = xname = f"d={t.d}"
+            rm.accesses.append(GlobalAccess(
+                buffer="dia_val", kind="load",
+                base=t.slab, seg_coeff=t.slab_stride, lane_coeff=1,
+                nsegs=region.nrs, lanes=m, guard_lo=t.slab_guard,
+                label=f"{glabel} dia_val[{dia}]",
+            ))
+            if t.tile is not None:
+                rm.local_ops.append(LocalOp("load", tile, base=t.tile,
+                                            lane_coeff=1, lane_bound=m))
+                rm.opencl_local_ops.append(LocalOp(
+                    "load", "xtile", base=t.tile, lane_coeff=1,
+                    lane_bound=m))
+            else:
+                for j in range(plan.nvec):
+                    vec = f"vec {j}, " if plan.nvec > 1 else ""
+                    rm.accesses.append(GlobalAccess(
+                        buffer="x", kind="load",
+                        base=j * plan.ncols + t.col,
+                        seg_coeff=m, lane_coeff=1,
+                        nsegs=region.nrs, lanes=m,
+                        guard_lo=j * plan.ncols,
+                        guard_hi=j * plan.ncols + plan.ncols,
+                        label=f"{glabel} x[{vec}{xname}]",
+                    ))
+            rm.flops_per_group += 2 * m * plan.nvec
     # final y store(s), guarded by row < nrows
     for j in range(plan.nvec):
         rm.accesses.append(GlobalAccess(

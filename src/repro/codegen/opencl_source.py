@@ -8,8 +8,8 @@ groups staging their x window through ``__local`` memory behind a
 ``barrier``, and a second kernel processing the scatter rows.
 
 The Python rendering (:mod:`repro.codegen.python_codelet`) is what the
-simulator executes; both are driven by the same
-:class:`~repro.codegen.plan.KernelPlan` so the constants cannot
+simulator executes; both render the same term lists
+(:func:`~repro.codegen.plan.region_terms`) so the constants cannot
 disagree, and the test suite extracts the literals from this source and
 checks them against :func:`repro.core.spmv.index_trace`.
 
@@ -23,13 +23,16 @@ stored diagonal.
 from __future__ import annotations
 
 import io
+from itertools import groupby
+from operator import attrgetter
+from typing import Tuple
 
 from repro.codegen.plan import (
-    GroupPlan,
     KernelPlan,
     RegionPlan,
-    full_offsets,
+    Term,
     is_sym_plan,
+    region_terms,
 )
 
 _REAL = {"double": "double", "single": "float"}
@@ -104,31 +107,70 @@ def _emit_dia_kernel(buf: io.StringIO, plan: KernelPlan, real: str) -> None:
     buf.write(f"    else p = {len(plan.regions) - 1};\n")
     buf.write("    switch (p) {\n")
     for region in plan.regions:
-        _emit_region_case(buf, plan, region, real)
+        _emit_region_case(buf, plan, region, real, values)
     buf.write("    }\n")
     buf.write("}\n")
 
 
 def _emit_region_case(
-    buf: io.StringIO, plan: KernelPlan, region: RegionPlan, real: str
+    buf: io.StringIO, plan: KernelPlan, region: RegionPlan, real: str,
+    values: str,
 ) -> None:
+    """One ``case``: the region's term list, unrolled (Fig. 6)."""
     m = region.mrows
     buf.write(f"    case {region.index}: {{ // pattern {region.signature}, "
               f"SR={region.start_row}, NRS={region.nrs}\n")
     buf.write(f"        const int seg = group_id - {region.gid_base};\n")
-    slab = f"{region.slab_base} + seg * {region.nnz_per_segment}"
     tile_in_use = False
-    for g in region.groups:
-        if g.kind == "SYM":
-            _emit_sym_case(buf, plan, region, g, real)
-        elif plan.nvec > 1:
-            _emit_multivec_case(buf, plan, region, g, slab, real)
-        elif g.kind == "AD" and plan.use_local_memory:
-            _emit_ad_case(buf, plan, region, g, slab, real,
-                          wait_for_reads=tile_in_use)
+    for g, terms in groupby(region_terms(plan, region),
+                            key=attrgetter("group")):
+        terms = tuple(terms)
+        if terms[0].tile is not None:
+            _emit_tile_stage(buf, plan, region, terms, real,
+                             wait_for_reads=tile_in_use)
             tile_in_use = True
-        else:
-            _emit_direct_case(buf, plan, region, g, slab, real)
+        elif g.kind != "SYM":
+            vecs = f" x {plan.nvec} vectors" if plan.nvec > 1 else ""
+            buf.write(f"        // {g.kind} group, offsets "
+                      f"{list(g.offsets)}{vecs}\n")
+        for t in terms:
+            # ``val`` is the slab value the term multiplies: a CRSD slot
+            # shows its segment base and slot displacement apart (Fig. 6)
+            val = (f"{values}[{region.slab_base} + seg * {t.slab_stride} + "
+                   f"{t.slab - region.slab_base} + local_id]")
+            if t.tile is not None:
+                buf.write(f"        acc += {val} * xtile[local_id + {t.tile}];\n")
+                continue
+            buf.write("        {\n")
+            if g.kind == "SYM":
+                if t.slab_guard is None:
+                    buf.write(f"            // stored offset {t.offset}\n")
+                    buf.write(f"            const {real} v = {values}[{t.slab} "
+                              f"+ seg * {t.slab_stride} + local_id];\n")
+                else:
+                    buf.write(f"            // full offset {t.offset}: mirror "
+                              f"of stored +{-t.offset}\n")
+                    buf.write(f"            const int si = {t.slab} + seg * "
+                              f"{t.slab_stride} + local_id;\n")
+                    buf.write(f"            const {real} v = (si >= "
+                              f"{t.slab_guard}) ? {values}[si] : ({real})0;\n")
+                val = "v"
+            elif plan.nvec > 1:
+                buf.write(f"            const {real} v = {val};\n")
+                val = "v"
+            buf.write(f"            const int xi = {t.col} + seg * {m} + "
+                      "local_id;\n")
+            if plan.nvec == 1:
+                buf.write(f"            const {real} xv = (xi >= 0 && xi < "
+                          f"{plan.ncols}) ? x[xi] : ({real})0;\n")
+                buf.write(f"            acc += {val} * xv;\n")
+            else:
+                buf.write(f"            if (xi >= 0 && xi < {plan.ncols}) {{\n")
+                for j in range(plan.nvec):
+                    buf.write(f"                acc{j} += v * "
+                              f"x[{j * plan.ncols} + xi];\n")
+                buf.write("            }\n")
+            buf.write("        }\n")
     buf.write(f"        row = {region.start_row} + seg * {m} + local_id;\n")
     if plan.nvec == 1:
         buf.write(f"        if (row < {plan.nrows}) y[row] = acc;\n")
@@ -140,47 +182,23 @@ def _emit_region_case(
     buf.write("        break; }\n")
 
 
-def _emit_multivec_case(
-    buf: io.StringIO, plan: KernelPlan, region: RegionPlan, g: GroupPlan,
-    slab: str, real: str,
+def _emit_tile_stage(
+    buf: io.StringIO, plan: KernelPlan, region: RegionPlan,
+    terms: Tuple[Term, ...], real: str, wait_for_reads: bool,
 ) -> None:
-    """SpMM body: one slab value load feeds all ``nvec`` accumulators
-    (x column-major with baked strides)."""
+    """Stage an AD group's shared x window into ``xtile`` (Fig. 5)."""
     m = region.mrows
-    buf.write(f"        // {g.kind} group, offsets {list(g.offsets)} "
-              f"x {plan.nvec} vectors\n")
-    for jj in range(g.ndiags):
-        d = g.d_first + jj
-        colv = g.colv[jj]
-        buf.write("        {\n")
-        buf.write(
-            f"            const {real} v = crsd_dia_val[{slab} + {d * m} + local_id];\n"
-        )
-        buf.write(f"            const int xi = {colv} + seg * {m} + local_id;\n")
-        buf.write(f"            if (xi >= 0 && xi < {plan.ncols}) {{\n")
-        for j in range(plan.nvec):
-            buf.write(
-                f"                acc{j} += v * x[{j * plan.ncols} + xi];\n"
-            )
-        buf.write("            }\n")
-        buf.write("        }\n")
-
-
-def _emit_ad_case(
-    buf: io.StringIO, plan: KernelPlan, region: RegionPlan, g: GroupPlan,
-    slab: str, real: str, wait_for_reads: bool = False,
-) -> None:
-    m = region.mrows
-    n = g.ndiags
-    tile_len = m + n - 1
-    buf.write(f"        // AD group, offsets {list(g.offsets)}: stage the\n"
-              f"        // shared x window into local memory (Fig. 5)\n")
+    tile_len = m + len(terms) - 1
+    buf.write(f"        // AD group, offsets {list(terms[0].group.offsets)}: "
+              "stage the\n"
+              "        // shared x window into local memory (Fig. 5)\n")
     if wait_for_reads:
         # xtile is shared between the AD groups of a region; the
         # previous group's reads must complete before restaging
         buf.write("        barrier(CLK_LOCAL_MEM_FENCE);\n")
     buf.write("        {\n")
-    buf.write(f"            const int tbase = {g.colv[0]} + seg * {m};\n")
+    buf.write(f"            const int tbase = {terms[0].col - terms[0].tile} "
+              f"+ seg * {m};\n")
     buf.write("            int xi = tbase + local_id;\n")
     buf.write(
         f"            xtile[local_id] = (xi >= 0 && xi < {plan.ncols})"
@@ -199,75 +217,6 @@ def _emit_ad_case(
         buf.write("            }\n")
     buf.write("        }\n")
     buf.write("        barrier(CLK_LOCAL_MEM_FENCE);\n")
-    for j in range(n):
-        d = g.d_first + j
-        buf.write(
-            f"        acc += crsd_dia_val[{slab} + {d * m} + local_id]"
-            f" * xtile[local_id + {j}];\n"
-        )
-
-
-def _emit_direct_case(
-    buf: io.StringIO, plan: KernelPlan, region: RegionPlan, g: GroupPlan,
-    slab: str, real: str,
-) -> None:
-    m = region.mrows
-    buf.write(f"        // {g.kind} group, offsets {list(g.offsets)}\n")
-    for j in range(g.ndiags):
-        d = g.d_first + j
-        colv = g.colv[j]
-        buf.write("        {\n")
-        buf.write(f"            const int xi = {colv} + seg * {m} + local_id;\n")
-        buf.write(
-            f"            const {real} xv = (xi >= 0 && xi < {plan.ncols})"
-            f" ? x[xi] : ({real})0;\n"
-        )
-        buf.write(
-            f"            acc += crsd_dia_val[{slab} + {d * m} + local_id] * xv;\n"
-        )
-        buf.write("        }\n")
-
-
-def _emit_sym_case(
-    buf: io.StringIO, plan: KernelPlan, region: RegionPlan, g: GroupPlan,
-    real: str,
-) -> None:
-    """SYM group: stored ``+o`` at ``runbase`` in the diagonal-major
-    half slab; the mirror term of ``-o`` reads the partner row's slot
-    behind ``si >= runbase``."""
-    m = region.mrows
-    run = region.nrs * m
-    for off in full_offsets(g.offsets):
-        o = abs(off)
-        runbase = region.slab_base + g.offsets.index(o) * run
-        buf.write("        {\n")
-        if off >= 0:
-            buf.write(f"            // stored offset {off}\n")
-            buf.write(
-                f"            const {real} v = sym_dia_val[{runbase} + "
-                f"seg * {m} + local_id];\n"
-            )
-        else:
-            buf.write(f"            // full offset {off}: mirror of "
-                      f"stored +{o}\n")
-            buf.write(
-                f"            const int si = {runbase - o} + seg * {m} + "
-                "local_id;\n"
-            )
-            buf.write(
-                f"            const {real} v = (si >= {runbase})"
-                f" ? sym_dia_val[si] : ({real})0;\n"
-            )
-        buf.write(
-            f"            const int xi = {region.start_row + off} + "
-            f"seg * {m} + local_id;\n"
-        )
-        buf.write(
-            f"            const {real} xv = (xi >= 0 && xi < {plan.ncols})"
-            f" ? x[xi] : ({real})0;\n"
-        )
-        buf.write("            acc += v * xv;\n")
-        buf.write("        }\n")
 
 
 def _emit_scatter_kernel(buf: io.StringIO, plan: KernelPlan, real: str) -> None:

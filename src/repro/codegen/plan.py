@@ -11,12 +11,18 @@ A :class:`~repro.core.symcrsd.SymCRSDMatrix` gives the same plan shape
 (:func:`build_sym_plan`): each region holds one ``kind="SYM"`` group
 over the stored half, and every layer reads the plan kind off its
 groups (:func:`is_sym_plan`).
+
+:func:`region_terms` is the single source of addresses: it turns a
+region's groups into its term list (Fig. 6's unrolled ``case``), and
+both emitters, the analyzer's access model and the fused kernel read
+their slab runs, x windows and tile slots from it, never from a
+group's column values or storage positions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from repro.core.crsd import CRSDMatrix
 from repro.core.symcrsd import SymCRSDMatrix
@@ -31,8 +37,8 @@ class GroupPlan:
     kind:
         "AD", "NAD" or "SYM".  A SYM group is a symmetric region's
         whole stored half: its ``offsets`` are the stored (``>= 0``)
-        ones in storage order, and the emitters expand their mirror
-        closure (:func:`full_offsets`).
+        ones in storage order, and :func:`region_terms` expands their
+        mirror closure.
     d_first:
         Storage position of the group's first diagonal within the
         region (the ``d`` of the paper's location formula).
@@ -87,6 +93,38 @@ class RegionPlan:
         """Largest local-memory x tile any AD group of this region needs."""
         extras = [g.tile_len_extra for g in self.groups if g.kind == "AD"]
         return (self.mrows + max(extras)) if extras else 0
+
+
+class Term(NamedTuple):
+    """One multiply-add of a region codelet: a slab run times an x window.
+
+    At region-local segment ``seg`` and lane ``lid`` the term multiplies
+    slab element ``slab + seg * slab_stride + lid`` (read as 0 below
+    ``slab_guard``, when set) by x element ``col + seg * mrows + lid``
+    (read as 0 outside ``[0, ncols)``).  A term with a ``tile`` slot
+    reads that x element through its group's local-memory tile, as
+    ``tile[lid + tile]``; the tile holds x from ``col - tile`` on.
+
+    Attributes
+    ----------
+    group:
+        The group the term belongs to.
+    d:
+        Storage position of the term's diagonal within the region: its
+        segment slot (CRSD) or its stored run (SYM).
+    offset:
+        The diagonal offset the term applies; a SYM mirror term's is
+        the negated stored offset.
+    """
+
+    group: GroupPlan
+    d: int
+    offset: int
+    slab: int
+    slab_stride: int
+    slab_guard: Optional[int]
+    col: int
+    tile: Optional[int]
 
 
 @dataclass(frozen=True)
@@ -196,10 +234,44 @@ def build_plan(crsd: CRSDMatrix, use_local_memory: bool = True,
     )
 
 
-def full_offsets(stored: Sequence[int]) -> Tuple[int, ...]:
-    """Mirror closure of the stored (non-negative) offsets, ascending —
-    the accumulation order shared by kernels, model and host matvec."""
-    return tuple(sorted(set(stored) | {-o for o in stored}))
+def region_terms(plan: KernelPlan, region: RegionPlan) -> Tuple[Term, ...]:
+    """The terms of ``region``'s codelet, in emission (= accumulation)
+    order.
+
+    A CRSD group's diagonal ``d`` is slot ``d`` of every segment's
+    ``NNzRS`` slots; an AD group staged through local memory
+    (``use_local_memory`` with ``nvec == 1``) reads x through one tile
+    over the window at its first column value.  A SYM group's half slab
+    is diagonal-major, so stored offset ``+o`` is the run at
+    ``runbase``: it feeds the forward term of ``+o`` and, read at the
+    partner row's slot ``runbase - o + ...`` behind ``>= runbase``, the
+    mirror term of ``-o``.  SYM terms run in the full pattern's
+    ascending offset order, the order of the host references.
+    """
+    m = region.mrows
+    terms: List[Term] = []
+    for g in region.groups:
+        if g.kind == "SYM":
+            run = region.nrs * m
+            for off in sorted(set(g.offsets) | {-o for o in g.offsets}):
+                d = g.offsets.index(abs(off))
+                runbase = region.slab_base + d * run
+                terms.append(Term(
+                    group=g, d=d, offset=off,
+                    slab=runbase + min(off, 0), slab_stride=m,
+                    slab_guard=runbase if off < 0 else None,
+                    col=region.start_row + off, tile=None))
+            continue
+        staged = g.kind == "AD" and plan.use_local_memory and plan.nvec == 1
+        for j, off in enumerate(g.offsets):
+            d = g.d_first + j
+            terms.append(Term(
+                group=g, d=d, offset=off,
+                slab=region.slab_base + d * m,
+                slab_stride=region.nnz_per_segment, slab_guard=None,
+                col=g.colv[0] + j if staged else g.colv[j],
+                tile=j if staged else None))
+    return tuple(terms)
 
 
 def is_sym_plan(plan: KernelPlan) -> bool:

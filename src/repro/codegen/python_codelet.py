@@ -25,28 +25,32 @@ deliberately identical between the two forms wherever broadcasting
 makes it shape-generic; only the accumulator shapes and the per-region
 flop literals (``x NRS``) differ.
 
-A symmetric half-storage plan (``kind="SYM"`` groups, from
-:func:`~repro.codegen.plan.build_sym_plan`) goes through the same
-module, codelets and dispatchers: only its group statements differ
-(each stored diagonal feeds a forward and a guarded mirror term), and
-its entries are named ``sym_dia_kernel``/``sym_dia_kernel_batched``,
-the names its spans and fault sites carry.
+Each codelet renders its region's term list
+(:func:`~repro.codegen.plan.region_terms`) in one loop, one slab load
+and one x load (or tile read) per term.  A symmetric half-storage plan
+(``kind="SYM"`` groups, from :func:`~repro.codegen.plan.build_sym_plan`)
+goes through the same module, codelets and dispatchers: its terms are
+a forward and a guarded mirror term per stored diagonal, and its
+entries are named ``sym_dia_kernel``/``sym_dia_kernel_batched``, the
+names its spans and fault sites carry.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from itertools import groupby
+from operator import attrgetter
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.codegen.plan import (
-    GroupPlan,
     KernelPlan,
     RegionPlan,
-    full_offsets,
+    Term,
     is_sym_plan,
+    region_terms,
 )
 from repro.codegen.validator import validate_python_source
 
@@ -119,27 +123,16 @@ def expected_functions(plan: KernelPlan) -> List[str]:
     return names
 
 
-def generate_python_kernel(plan: KernelPlan,
-                           strict: bool = False) -> CompiledKernel:
+def generate_python_kernel(plan: KernelPlan) -> CompiledKernel:
     """Emit, validate and compile the Python kernel for ``plan``.
 
-    The emitted source is always checked structurally (it must parse
-    and define every codelet the plan promises, in per-group and
-    batched form).  ``strict=True`` additionally runs the full static
-    analyzer over the plan and both renderings, raising
-    :class:`~repro.analyze.report.KernelAnalysisError` if any checker
-    reports a violation — no kernel with a provable defect compiles.
+    The emitted source is checked structurally (it must parse and
+    define every codelet the plan promises, in per-group and batched
+    form).  The runners' ``strict`` mode runs the static analyzer
+    before this, on their own device and precision.
     """
     src = emit_python_source(plan)
     validate_python_source(src, expected=expected_functions(plan))
-    if strict:
-        # local import: repro.analyze itself analyzes this module's output
-        from repro.analyze.driver import analyze_plan
-        from repro.analyze.report import KernelAnalysisError
-
-        report = analyze_plan(plan)
-        if not report.ok:
-            raise KernelAnalysisError(report)
     namespace: dict = {"np": np, "bisect_right": __import__("bisect").bisect_right}
     exec(compile(src, "<crsd-generated-kernel>", "exec"), namespace)
     entry = _dia_entry(plan)
@@ -181,7 +174,7 @@ def emit_python_source(plan: KernelPlan) -> str:
 
 def _emit_region_codelet(w: _Writer, plan: KernelPlan, region: RegionPlan,
                          batched: bool = False) -> None:
-    """Emit one region codelet.
+    """Emit one region codelet: its term list, unrolled.
 
     The batched form is the same statement list over a
     ``(num_segments, mrows)`` grid: ``seg`` is a ``(NRS, 1)`` column
@@ -191,6 +184,7 @@ def _emit_region_codelet(w: _Writer, plan: KernelPlan, region: RegionPlan,
     segments) differ.
     """
     m = region.mrows
+    cmax = plan.ncols - 1
     suffix = "_batched" if batched else ""
     w.line(f"def _codelet_p{region.index}{suffix}(ctx, dia_val, xb, yb):")
     w.indent()
@@ -204,16 +198,45 @@ def _emit_region_codelet(w: _Writer, plan: KernelPlan, region: RegionPlan,
     else:
         for j in range(plan.nvec):
             w.line(f"acc{j} = np.zeros({shape}, dtype=xb.data.dtype)")
-    slab = f"{region.slab_base} + seg * {region.nnz_per_segment}"
-    for g in region.groups:
-        if g.kind == "SYM":
-            _emit_sym_group(w, plan, region, g, batched)
-        elif plan.nvec > 1:
-            _emit_group_multivec(w, plan, region, g, slab, batched)
-        elif g.kind == "AD" and plan.use_local_memory:
-            _emit_ad_group_local(w, plan, region, g, slab, batched)
-        else:
-            _emit_group_direct(w, plan, region, g, slab, batched)
+    for g, terms in groupby(region_terms(plan, region),
+                            key=attrgetter("group")):
+        terms = tuple(terms)
+        if terms[0].tile is not None:
+            _emit_tile_stage(w, plan, region, terms)
+        elif g.kind != "SYM":
+            vecs = f" x {plan.nvec} vectors" if plan.nvec > 1 else ""
+            w.line(f"# {g.kind} group: offsets {list(g.offsets)}{vecs}")
+        for t in terms:
+            # a CRSD slot shows its segment base and slot displacement
+            # apart, like the OpenCL rendering (Fig. 6)
+            if g.kind != "SYM":
+                w.line(f"v = ctx.gload(dia_val, {region.slab_base} + seg * "
+                       f"{t.slab_stride} + {t.slab - region.slab_base} + lid)")
+            elif t.slab_guard is None:
+                w.line(f"# stored offset {t.offset}")
+                w.line(f"v = ctx.gload(dia_val, {t.slab} + seg * "
+                       f"{t.slab_stride} + lid)")
+            else:
+                w.line(f"# full offset {t.offset}: mirror of stored "
+                       f"+{-t.offset}")
+                w.line(f"si = {t.slab} + seg * {t.slab_stride} + lid")
+                w.line(f"ms = si >= {t.slab_guard}")
+                w.line(f"v = ctx.gload(dia_val, np.maximum(si, "
+                       f"{t.slab_guard}), mask=ms)")
+            if t.tile is not None:
+                w.line(f"acc = acc + v * ctx.lload(tile, lid + {t.tile})")
+            else:
+                w.line(f"xi = {t.col} + seg * {m} + lid")
+                w.line(f"mx = (xi >= 0) & (xi < {plan.ncols})")
+                if plan.nvec == 1:
+                    w.line(f"acc = acc + v * ctx.gload(xb, "
+                           f"np.clip(xi, 0, {cmax}), mask=mx)")
+                else:
+                    w.line(f"xc = np.clip(xi, 0, {cmax})")
+                    for j in range(plan.nvec):
+                        w.line(f"acc{j} = acc{j} + v * ctx.gload(xb, "
+                               f"{j * plan.ncols} + xc, mask=mx)")
+            w.line(f"ctx.flops({_flops_arg(2 * m * plan.nvec, batched)})")
     w.line(f"row = {region.start_row} + seg * {m} + lid")
     w.line(f"ok = row < {plan.nrows}")
     if plan.nvec == 1:
@@ -234,41 +257,18 @@ def _flops_arg(n: int, batched: bool) -> str:
     return f"{n} * ctx.num_groups" if batched else str(n)
 
 
-def _emit_group_multivec(
-    w: _Writer, plan: KernelPlan, region: RegionPlan, g: GroupPlan, slab: str,
-    batched: bool = False
-) -> None:
-    """SpMM body: each diagonal value loaded once, multiplied against
-    every right-hand side (x held column-major, strides baked in)."""
+def _emit_tile_stage(w: _Writer, plan: KernelPlan, region: RegionPlan,
+                     terms: Tuple[Term, ...]) -> None:
+    """Stage an AD group's shared x window into local memory once, for
+    all its terms to read (Fig. 5)."""
     m = region.mrows
+    tile_len = m + len(terms) - 1
     cmax = plan.ncols - 1
-    w.line(f"# {g.kind} group: offsets {list(g.offsets)} x {plan.nvec} vectors")
-    for jj in range(g.ndiags):
-        d = g.d_first + jj
-        colv = g.colv[jj]
-        w.line(f"v = ctx.gload(dia_val, {slab} + {d * m} + lid)")
-        w.line(f"xi = {colv} + seg * {m} + lid")
-        w.line(f"mx = (xi >= 0) & (xi < {plan.ncols})")
-        w.line(f"xc = np.clip(xi, 0, {cmax})")
-        for j in range(plan.nvec):
-            w.line(f"acc{j} = acc{j} + v * ctx.gload(xb, {j * plan.ncols} + xc, mask=mx)")
-        w.line(f"ctx.flops({_flops_arg(2 * m * plan.nvec, batched)})")
-
-
-def _emit_ad_group_local(
-    w: _Writer, plan: KernelPlan, region: RegionPlan, g: GroupPlan, slab: str,
-    batched: bool = False
-) -> None:
-    """AD group: stage the shared x window into local memory once, then
-    all member diagonals read it (Fig. 5)."""
-    m = region.mrows
-    n = g.ndiags
-    tile_len = m + n - 1
-    cmax = plan.ncols - 1
-    w.line(f"# AD group: offsets {list(g.offsets)}, Colv={g.colv[0]}, "
-           f"x tile of {tile_len} elements in local memory")
+    colv = terms[0].col - terms[0].tile
+    w.line(f"# AD group: offsets {list(terms[0].group.offsets)}, "
+           f"Colv={colv}, x tile of {tile_len} elements in local memory")
     w.line(f"tile = ctx.alloc_local({tile_len}, xb.data.dtype)")
-    w.line(f"tbase = {g.colv[0]} + seg * {m}")
+    w.line(f"tbase = {colv} + seg * {m}")
     w.line("i0 = tbase + lid")
     w.line(f"m0 = (i0 >= 0) & (i0 < {plan.ncols})")
     w.line(f"ctx.lstore(tile, lid, ctx.gload(xb, np.clip(i0, 0, {cmax}), mask=m0))")
@@ -284,60 +284,6 @@ def _emit_ad_group_local(
             f"ctx.gload(xb, np.clip(i1, 0, {cmax}), mask=m1), mask=lane)"
         )
     w.line("ctx.barrier()")
-    for j in range(n):
-        d = g.d_first + j
-        w.line(f"v = ctx.gload(dia_val, {slab} + {d * m} + lid)")
-        w.line(f"acc = acc + v * ctx.lload(tile, lid + {j})")
-        w.line(f"ctx.flops({_flops_arg(2 * m, batched)})")
-
-
-def _emit_group_direct(
-    w: _Writer, plan: KernelPlan, region: RegionPlan, g: GroupPlan, slab: str,
-    batched: bool = False
-) -> None:
-    """NAD group (or AD with local memory disabled): every diagonal
-    gathers x straight from global memory."""
-    m = region.mrows
-    cmax = plan.ncols - 1
-    w.line(f"# {g.kind} group: offsets {list(g.offsets)}")
-    for j in range(g.ndiags):
-        d = g.d_first + j
-        colv = g.colv[j]
-        w.line(f"v = ctx.gload(dia_val, {slab} + {d * m} + lid)")
-        w.line(f"xi = {colv} + seg * {m} + lid")
-        w.line(f"mx = (xi >= 0) & (xi < {plan.ncols})")
-        w.line(f"acc = acc + v * ctx.gload(xb, np.clip(xi, 0, {cmax}), mask=mx)")
-        w.line(f"ctx.flops({_flops_arg(2 * m, batched)})")
-
-
-def _emit_sym_group(
-    w: _Writer, plan: KernelPlan, region: RegionPlan, g: GroupPlan,
-    batched: bool = False
-) -> None:
-    """SYM group: the half slab is diagonal-major per region, so stored
-    offset ``+o`` is the run at ``runbase``.  It feeds the forward term
-    of full offset ``+o`` and, read at the partner row's slot
-    ``si = runbase - o + ...`` behind ``si >= runbase``, the mirror
-    term of ``-o``.  Terms run in the full pattern's ascending offset
-    order, the order of the host references."""
-    m = region.mrows
-    run = region.nrs * m
-    cmax = plan.ncols - 1
-    for off in full_offsets(g.offsets):
-        o = abs(off)
-        runbase = region.slab_base + g.offsets.index(o) * run
-        if off >= 0:
-            w.line(f"# stored offset {off}")
-            w.line(f"v = ctx.gload(dia_val, {runbase} + seg * {m} + lid)")
-        else:
-            w.line(f"# full offset {off}: mirror of stored +{o}")
-            w.line(f"si = {runbase - o} + seg * {m} + lid")
-            w.line(f"ms = si >= {runbase}")
-            w.line(f"v = ctx.gload(dia_val, np.maximum(si, {runbase}), mask=ms)")
-        w.line(f"xi = {region.start_row + off} + seg * {m} + lid")
-        w.line(f"mx = (xi >= 0) & (xi < {plan.ncols})")
-        w.line(f"acc = acc + v * ctx.gload(xb, np.clip(xi, 0, {cmax}), mask=mx)")
-        w.line(f"ctx.flops({_flops_arg(2 * m, batched)})")
 
 
 # ----------------------------------------------------------------------

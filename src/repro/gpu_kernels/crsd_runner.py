@@ -34,9 +34,11 @@ cache keeps them in its engine's :class:`~repro.serve.cache.PatternStore`);
 demotions stay with each executor.  Codelets (emit, source validation,
 ``compile``) are generated only when a batched or per-group launch, or
 fused verification, first needs them: a plan the fused engine serves
-never generates them.  ``strict=True`` generates them eagerly, so the
-analyzer's :class:`~repro.analyze.report.KernelAnalysisError` still
-raises at construction.
+never generates them.  ``strict=True`` analyzes the plan on the
+runner's own device and precision, once per :class:`PlanArtifacts`,
+and generates them eagerly, so the analyzer's
+:class:`~repro.analyze.report.KernelAnalysisError` still raises at
+construction.
 """
 
 from __future__ import annotations
@@ -47,6 +49,8 @@ import warnings
 
 import numpy as np
 
+from repro.analyze import driver
+from repro.analyze.report import KernelAnalysisError
 from repro.codegen.plan import build_plan
 from repro.codegen.python_codelet import generate_python_kernel
 from repro.core.crsd import CRSDMatrix
@@ -135,6 +139,16 @@ def launch_plan(kernel, plan, device, values, scatter, xbuf, ybuf,
     return tr
 
 
+def analyze_strict(plan, device, precision: str) -> None:
+    """Run the static analyzer over ``plan`` and both renderings for
+    ``device`` and ``precision``: a
+    :class:`~repro.analyze.report.KernelAnalysisError` on any violation,
+    so no kernel with a provable defect compiles."""
+    report = driver.analyze_plan(plan, device=device, precision=precision)
+    if not report.ok:
+        raise KernelAnalysisError(report)
+
+
 class PlanArtifacts:
     """One plan's pattern-pure artifacts, each made once and shared.
 
@@ -151,12 +165,18 @@ class PlanArtifacts:
         self.fused = None
         self._kernel = None
         self._target = None
+        self._analyzed = False
 
     def codelets(self, strict: bool = False):
         """The generated codelets (batched and per-group forms),
-        generated — and, with ``strict``, analyzed — on first call."""
+        generated on first call.  ``strict`` first analyzes the plan
+        (:func:`analyze_strict`) on the bound device and precision, on
+        the first strict call, whatever earlier calls built."""
+        if strict and not self._analyzed:
+            analyze_strict(self.plan, *self._target)
+            self._analyzed = True
         if self._kernel is None:
-            self._kernel = generate_python_kernel(self.plan, strict=strict)
+            self._kernel = generate_python_kernel(self.plan)
         return self._kernel
 
     def bind(self, device, precision: str) -> None:
@@ -197,7 +217,8 @@ class PlanExecutor:
     labels:
         Extra attributes of this executor's events.
     strict:
-        Generate (and analyze) the codelets now.
+        Analyze the plan on ``device`` and ``precision`` and generate
+        the codelets now.
     """
 
     def __init__(self, artifacts: PlanArtifacts, name: str, device,
@@ -398,7 +419,8 @@ class CrsdSpMV(GPUSpMV):
         off for ablation A1).
     strict:
         Run the full static analyzer over the generated plan and both
-        renderings before compiling; raises
+        renderings, on this runner's device and precision, before
+        compiling; raises
         :class:`~repro.analyze.report.KernelAnalysisError` if any
         checker finds a violation.
     artifacts:

@@ -37,6 +37,13 @@ once, only after every prover passed, and the certificate carries the
 trace; it is copied per run, so obs metrics, roofline derivation and
 serve's ``predict_gpu_time`` accounting are unchanged.
 
+The kernel takes its x window starts and its slab-slot check from
+:func:`~repro.codegen.plan.region_terms`, the term list both emitters
+and the access model read: it is the single source of addresses.  A
+term shape the kernel does not lower (a SYM plan's diagonal-major runs
+and guarded mirror terms) makes :func:`certify_plan` decline the plan,
+and :class:`FusedKernel` refuse it, naming the term.
+
 :class:`FusedKernel` is deliberately **value-free**: it bakes only the
 plan and the scatter *index* arrays (pattern data) and takes the value
 buffers per call, so one compiled fused callable is shared across
@@ -58,7 +65,7 @@ from repro.analyze.localmem import check_localmem
 from repro.analyze.model import KernelModel, build_model
 from repro.analyze.report import AnalysisReport
 from repro.analyze.trace import synthesize_trace
-from repro.codegen.plan import KernelPlan
+from repro.codegen.plan import KernelPlan, RegionPlan, region_terms
 from repro.ocl.device import DeviceSpec
 from repro.ocl.errors import LaunchError
 from repro.ocl.trace import KernelTrace
@@ -92,7 +99,8 @@ def certify_plan(
     scatter_rowno: Optional[np.ndarray] = None,
     dia_val_size: Optional[int] = None,
 ) -> FusedCertificate:
-    """Run the bounds, local-memory and write-disjointness provers.
+    """Run the bounds, local-memory and write-disjointness provers, and
+    check that :class:`FusedKernel` lowers every term of the plan.
 
     The certificate carries the :class:`KernelModel` and, when every
     prover passed, the synthesized trace, so a passing plan pays for
@@ -119,6 +127,11 @@ def certify_plan(
         reasons.append(
             "closed-form trace prediction unavailable (indirect access "
             "without baked index data)")
+    for region in plan.regions:
+        try:
+            _window_starts(plan, region)
+        except ValueError as exc:
+            reasons.append(str(exc))
     if reasons:
         return FusedCertificate(ok=False, reasons=tuple(reasons),
                                 model=model)
@@ -129,6 +142,36 @@ def certify_plan(
 # ----------------------------------------------------------------------
 # the fused kernel (value-free: pattern baked, values per call)
 # ----------------------------------------------------------------------
+def _window_starts(plan: KernelPlan, region: RegionPlan) -> List[int]:
+    """The x window start of each of ``region``'s terms.
+
+    The kernel reads term ``t`` from slot ``t`` of the term-major slab
+    view, so every term must be an unguarded segment-major slab slot,
+    in slot order, and the terms must fill the segment; any other term
+    shape raises ``ValueError``.  A term staged through an AD tile
+    reads its window directly: the local-memory prover certified that
+    the tile holds it.
+    """
+    m, nnz = region.mrows, region.nnz_per_segment
+    terms = region_terms(plan, region)
+    for i, t in enumerate(terms):
+        slot = region.slab_base + i * m
+        if (t.slab_guard is not None or t.slab_stride != nnz
+                or t.slab != slot):
+            guard = ("" if t.slab_guard is None
+                     else f" guarded by >= {t.slab_guard}")
+            raise ValueError(
+                f"region {region.index} term {i} ({t.group.kind} offset "
+                f"{t.offset}) reads slab {t.slab} + seg * "
+                f"{t.slab_stride}{guard}, not segment slot {slot} + seg "
+                f"* {nnz}: the fused kernel lowers only terms that fill "
+                "the segment slots in order")
+    if nnz != len(terms) * m:
+        raise ValueError(f"region {region.index}: {len(terms)} terms do "
+                         f"not fill the {nnz}-element segment slots")
+    return [t.col for t in terms]
+
+
 @dataclass(frozen=True)
 class _RegionExec:
     """One region's fused dia phase, fully precomputed from the plan."""
@@ -174,24 +217,7 @@ class FusedKernel:
                  scatter_colval: Optional[np.ndarray] = None,
                  scatter_rowno: Optional[np.ndarray] = None):
         self.plan = plan
-        cols: List[List[int]] = []
-        for r in plan.regions:
-            c: List[int] = []
-            for g in r.groups:
-                staged = (plan.use_local_memory and plan.nvec == 1
-                          and g.kind == "AD")
-                # an AD tile provably holds the contiguous x window
-                # starting at colv[0]; tile[lid + j] is the direct load
-                # at colv[0] + j (the local-memory prover certified it)
-                c.extend(g.colv[0] + j if staged else g.colv[j]
-                         for j in range(g.ndiags))
-            # the term-major slab view reads term t from slot t
-            d = [g.d_first + j for g in r.groups for j in range(g.ndiags)]
-            if d != list(range(len(c))) or \
-                    r.nnz_per_segment != len(c) * r.mrows:
-                raise ValueError(f"region {r.index}: diagonals do not "
-                                 "fill the segment slots in order")
-            cols.append(c)
+        cols = [_window_starts(plan, r) for r in plan.regions]
         self._pad_lo = min((min(c) for c in cols if c), default=0)
         self._regions = tuple(
             _RegionExec(

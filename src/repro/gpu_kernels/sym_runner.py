@@ -31,7 +31,7 @@ from repro.codegen.plan import build_sym_plan
 from repro.codegen.python_codelet import generate_python_kernel
 from repro.core.symcrsd import SymCRSDMatrix
 from repro.gpu_kernels.base import GPUSpMV, SpMVRun
-from repro.gpu_kernels.crsd_runner import launch_plan
+from repro.gpu_kernels.crsd_runner import analyze_strict, launch_plan
 
 
 class SymCrsdSpMV(GPUSpMV):
@@ -42,9 +42,10 @@ class SymCrsdSpMV(GPUSpMV):
     matrix:
         The symmetric half carrier.
     strict:
-        Run the static analyzer over the plan before compiling;
-        raises :class:`~repro.analyze.report.KernelAnalysisError` on
-        any violation.
+        Run the static analyzer over the plan, on this runner's device
+        and precision, before compiling; raises
+        :class:`~repro.analyze.report.KernelAnalysisError` on any
+        violation.
     """
 
     name = "sym_crsd"
@@ -55,7 +56,9 @@ class SymCrsdSpMV(GPUSpMV):
         super().__init__(**kwargs)
         self.matrix = matrix
         self.plan = build_sym_plan(matrix)
-        self.kernel = generate_python_kernel(self.plan, strict=strict)
+        if strict:
+            analyze_strict(self.plan, self.device, self.precision)
+        self.kernel = generate_python_kernel(self.plan)
 
     @property
     def nrows(self) -> int:

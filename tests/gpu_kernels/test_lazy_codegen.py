@@ -15,13 +15,16 @@ from repro.analyze import driver
 from repro.analyze.report import KernelAnalysisError
 from repro.analyze.sharding import certify_shard_plan
 from repro.core.crsd import CRSDMatrix
+from repro.core.symcrsd import SymCRSDMatrix
 from repro.gpu_kernels.crsd_runner import (
     FUSED_VERIFY_ENV,
     CrsdSpMM,
     CrsdSpMV,
 )
 from repro.gpu_kernels.fused import FusedCertificate
-from repro.ocl.device import TESLA_C2050
+from repro.gpu_kernels.sym_runner import SymCrsdSpMV
+from repro.matrices.generators import symmetric_banded
+from repro.ocl.device import GTX_285, TESLA_C2050
 from repro.shard.executor import ShardedSpMV
 from repro.shard.plan import ShardPlanner
 from tests.conftest import random_diagonal_matrix
@@ -36,9 +39,9 @@ def codegen_calls(monkeypatch):
     calls = []
     real = runner_mod.generate_python_kernel
 
-    def counting(plan, strict=False):
+    def counting(plan):
         calls.append(plan)
-        return real(plan, strict=strict)
+        return real(plan)
 
     monkeypatch.setattr(runner_mod, "generate_python_kernel", counting)
     monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
@@ -140,3 +143,40 @@ class TestStrictStaysEager:
         assert codegen_calls == []
         with pytest.raises(KernelAnalysisError):
             CrsdSpMV(crsd, strict=True)
+
+
+@pytest.fixture
+def analyzed(monkeypatch):
+    """Records the (device name, precision) of every strict analysis."""
+    targets = []
+    real = driver.analyze_plan
+
+    def spy(plan, device=TESLA_C2050, precision="double", **kw):
+        targets.append((device.name, precision))
+        return real(plan, device=device, precision=precision, **kw)
+
+    monkeypatch.setattr(driver, "analyze_plan", spy)
+    return targets
+
+
+class TestStrictAnalyzesOnItsTarget:
+    def test_every_strict_runner_analyzes_its_own_target(self, crsd,
+                                                         analyzed):
+        coo = symmetric_banded(N, 3, np.random.default_rng(2))
+        sym = SymCRSDMatrix.from_crsd(CRSDMatrix.from_coo(coo, mrows=32),
+                                      coo=coo)
+        target = dict(device=GTX_285, precision="single")
+        CrsdSpMV(crsd, strict=True, **target)
+        CrsdSpMM(crsd, nvec=2, strict=True, **target)
+        SymCrsdSpMV(sym, strict=True, **target)
+        assert analyzed == [(GTX_285.name, "single")] * 3
+
+    def test_strict_after_non_strict_codelets_analyzes_once(
+            self, crsd, analyzed, monkeypatch):
+        monkeypatch.setenv("REPRO_EXECUTOR", "batched")
+        donor = CrsdSpMV(crsd)
+        donor.run(x_of())
+        assert analyzed == []
+        CrsdSpMV(crsd, strict=True, artifacts=donor.artifacts)
+        CrsdSpMV(crsd, strict=True, artifacts=donor.artifacts)
+        assert analyzed == [(TESLA_C2050.name, "double")]

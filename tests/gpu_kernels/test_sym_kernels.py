@@ -16,6 +16,7 @@ from repro.codegen.plan import build_sym_plan
 from repro.core.crsd import CRSDMatrix
 from repro.core.symcrsd import SymCRSDMatrix
 from repro.gpu_kernels import CrsdSpMM, CrsdSpMV, SymCrsdSpMV
+from repro.gpu_kernels.fused import FusedKernel, certify_plan
 from repro.matrices import generators as gen
 from repro.obs.metrics import derive_metrics
 from repro.ocl.device import TESLA_C2050
@@ -95,6 +96,21 @@ def test_dram_bytes_reduction_at_least_40pct(nprng):
     assert reduction >= 0.40, f"only {reduction:.1%} DRAM reduction"
     # both runners still computed the same bits
     assert np.array_equal(SymCrsdSpMV(sym).run(x).y, full.matvec(x))
+
+
+def test_fused_engine_refuses_sym_terms(nprng):
+    """The fused kernel lowers only unguarded segment-major slab slots,
+    so a SYM plan's diagonal-major runs and guarded mirror terms make
+    certification decline it and the kernel refuse it, naming the
+    term."""
+    _, sym = build_pair(CASES["banded_k7"](nprng))
+    plan = build_sym_plan(sym)
+    cert = certify_plan(plan, TESLA_C2050, "double")
+    assert not cert.ok
+    assert any("term 0 (SYM offset -7)" in r and "guarded by >=" in r
+               for r in cert.reasons), cert.reasons
+    with pytest.raises(ValueError, match="SYM offset -7"):
+        FusedKernel(plan)
 
 
 #: full CRSD inputs with scatter rows: (nvec, L2 bytes or None for
